@@ -45,6 +45,16 @@ def _parse_query(text: str):
     return (name, arity_value)
 
 
+def print_json(obj) -> None:
+    """``--json`` output: compact canonical JSON (sorted keys, no
+    whitespace — the text of ``serialize.canonical_json``), which
+    CPython writes with its C encoder (``indent`` forces the
+    pure-Python one, ~8x slower on large tables).  Encoded through
+    this module's ``json`` so perfbench's ``serialize.dump`` span,
+    which wraps it, still times CLI output."""
+    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
 def _check_input_arity(input_types, query) -> None:
     """A clean exit when ``--input`` does not match the query arity."""
     if input_types is not None and len(input_types) != query[1]:
@@ -130,12 +140,12 @@ def main(argv=None) -> int:
 
     if args.json:
         from .service import encode_result, program_hash
-        print(json.dumps({
+        print_json({
             "query": list(query),
             "program_hash": program_hash(analysis.program),
             "wall_time": analysis.wall_time,
             "result": encode_result(analysis.result),
-        }, indent=2, sort_keys=True))
+        })
         return 0
     if args.baseline:
         print("(principal-functor baseline domain)")
@@ -265,13 +275,13 @@ def check_main(argv) -> int:
 
     if args.json:
         check = encode_check(report, slices)
-        print(json.dumps({
+        print_json({
             "name": name,
             "query": list(query),
             "check": check,
             "check_fingerprint": check_fingerprint(check),
             "passed": report.ok,
-        }, indent=2, sort_keys=True))
+        })
         return 0 if report.ok else 1
     if not assertions:
         print("%s: no assert_pattern/assert_calls directives declared"
@@ -468,7 +478,7 @@ def batch_main(argv) -> int:
         raise SystemExit("error: %s" % (error.args[0],))
 
     if args.json:
-        print(json.dumps({
+        print_json({
             "hits": report.hits,
             "misses": report.misses,
             "seconds": report.seconds,
@@ -476,7 +486,7 @@ def batch_main(argv) -> int:
                       "seconds": r.seconds,
                       "key": r.key.digest,
                       "result": r.payload} for r in report.results],
-        }, indent=2, sort_keys=True))
+        })
         return 0
     rows = []
     for job_result in report.results:

@@ -13,9 +13,14 @@ Two layers:
   program version can be listed (promotion) or dropped (invalidation)
   without touching the rest of the store.
 
-Payloads are the JSON-ready objects of :mod:`repro.service.serialize`;
-the cache never decodes them — it is a plain content-addressed blob
-store with an index by program hash.
+Payloads are the JSON-ready objects of :mod:`repro.service.serialize`.
+The memory layer holds each one as a :class:`CacheEntry`: the payload's
+canonical JSON bytes plus its table fingerprint, both computed once
+when the entry is stored (``put``, ``seed``, or a disk read promoted
+into memory).  A server answers a warm hit by copying those bytes into
+its reply — no per-request encoding and no decoded dict kept beside
+them; callers that need the dict call :meth:`ResultCache.get`, which
+decodes on demand.
 
 Concurrency model (PR 5's server hangs many readers and writers off
 one instance and many *processes* off one ``cache_dir``):
@@ -41,15 +46,18 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from ..fixpoint.engine import AnalysisConfig
 from ..prolog.program import PredId, Program
 from ..typegraph.grammar import Grammar
 from .serialize import (FORMAT_VERSION, canonical_json, config_hash,
-                        content_hash, grammar_content_hash, program_hash)
+                        content_hash, grammar_content_hash,
+                        payload_fingerprint, program_hash)
 
-__all__ = ["CacheKey", "CacheStats", "ResultCache", "make_key"]
+__all__ = ["CacheEntry", "CacheKey", "CacheStats", "ResultCache",
+           "make_key"]
 
 
 @dataclass(frozen=True)
@@ -126,6 +134,36 @@ def make_key(source: Union[str, Program], query: PredId,
     )
 
 
+class CacheEntry(NamedTuple):
+    """One memory-tier entry: the payload as canonical JSON bytes and
+    its table fingerprint, both computed once when the entry is
+    stored."""
+
+    key: CacheKey
+    payload: bytes
+    fingerprint: str
+
+    @classmethod
+    def encode(cls, key: CacheKey, payload: dict) -> "CacheEntry":
+        """Fingerprint ``payload`` and encode it with the C encoder.
+        Raises ``ValueError`` when the payload is not an encoded
+        analysis result: what cannot be fingerprinted is never
+        stored."""
+        try:
+            fingerprint = payload_fingerprint(payload)
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as error:
+            raise ValueError("payload is not an encoded analysis result "
+                             "(%s: %s)" % (type(error).__name__, error)
+                             ) from None
+        return cls(key, canonical_json(payload).encode("utf-8"),
+                   fingerprint)
+
+    def decode(self) -> dict:
+        """The payload as a fresh dict (callers may mutate it)."""
+        return json.loads(self.payload)
+
+
 @dataclass
 class CacheStats:
     hits: int = 0
@@ -159,8 +197,7 @@ class ResultCache:
         self.max_memory_entries = max_memory_entries
         self.fsync = (os.environ.get("REPRO_CACHE_FSYNC") == "1"
                       if fsync is None else bool(fsync))
-        self._memory: "OrderedDict[str, Tuple[CacheKey, dict]]" = \
-            OrderedDict()
+        self._memory: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.stats = CacheStats()
         #: guards the memory layer and the stats counters; disk I/O
         #: happens outside it (atomic-rename protocol, see module doc).
@@ -181,12 +218,12 @@ class ResultCache:
 
     # -- core get/put --------------------------------------------------------
 
-    def get_memory(self, key: CacheKey) -> Optional[dict]:
+    def get_memory(self, key: CacheKey) -> Optional[CacheEntry]:
         """Probe the in-memory layer only — a cheap, non-blocking
         lookup the server's event loop can afford to run inline.  A
         hit counts toward the stats; a miss counts nothing (the caller
-        is expected to fall through to :meth:`get`, which does the
-        full accounting)."""
+        is expected to fall through to :meth:`get_entry`, which does
+        the full accounting)."""
         digest = key.digest
         with self._lock:
             entry = self._memory.get(digest)
@@ -195,58 +232,57 @@ class ResultCache:
             self._memory.move_to_end(digest)
             self.stats.hits += 1
             self.stats.memory_hits += 1
-            return entry[1]
+            return entry
 
-    def get(self, key: CacheKey) -> Optional[dict]:
-        """The stored payload, or None.  Disk hits are promoted into
-        the memory layer."""
-        digest = key.digest
-        with self._lock:
-            entry = self._memory.get(digest)
-            if entry is not None:
-                self._memory.move_to_end(digest)
-                self.stats.hits += 1
-                self.stats.memory_hits += 1
-                return entry[1]
+    def get_entry(self, key: CacheKey) -> Optional[CacheEntry]:
+        """The stored entry, or None.  A disk hit is encoded and
+        fingerprinted once and promoted into the memory layer."""
+        entry = self.get_memory(key)
+        if entry is not None:
+            return entry
         if self.cache_dir is not None:
-            path = self._entry_path(key)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    record = json.load(handle)
-                payload = record["payload"]
-            except (OSError, ValueError, KeyError, TypeError):
-                payload = None  # unreadable/truncated record: a miss
-            if payload is not None:
+            entry = self._read_disk(key)
+            if entry is not None:
                 with self._lock:
-                    self._remember(key, payload)
+                    self._remember(entry)
                     self.stats.hits += 1
                     self.stats.disk_hits += 1
-                return payload
+                return entry
         with self._lock:
             self.stats.misses += 1
         return None
 
-    def put(self, key: CacheKey, payload: dict) -> None:
-        """Store a payload under ``key`` in both layers.  Disk writes
-        are atomic (tempfile + rename), so a crashed writer never
-        leaves a half-written object behind and a concurrent reader
-        never observes a torn record."""
-        with self._lock:
-            self._remember(key, payload)
-            self.stats.puts += 1
-        if self.cache_dir is None:
-            return
-        self._write_disk(key, payload)
+    def get(self, key: CacheKey) -> Optional[dict]:
+        """The stored payload decoded into a fresh dict, or None."""
+        entry = self.get_entry(key)
+        return None if entry is None else entry.decode()
 
-    def seed(self, key: CacheKey, payload: dict) -> None:
+    def put(self, key: CacheKey, payload: dict) -> CacheEntry:
+        """Store a payload under ``key`` in both layers and return its
+        entry.  Disk writes are atomic (tempfile + rename), so a
+        crashed writer never leaves a half-written object behind and a
+        concurrent reader never observes a torn record.  Raises
+        ``ValueError`` for a payload that cannot be fingerprinted."""
+        entry = CacheEntry.encode(key, payload)
+        with self._lock:
+            self._remember(entry)
+            self.stats.puts += 1
+        if self.cache_dir is not None:
+            self._write_disk(entry)
+        return entry
+
+    def seed(self, key: CacheKey, payload: dict) -> CacheEntry:
         """Store a payload in the *memory* layer only — the replication
         primitive.  A replica seeded with another shard's result serves
         it as a memory hit after failover; the disk layer is left to
         the home shard (the store is shared, a second write would be
-        redundant I/O for the same bytes)."""
+        redundant I/O for the same bytes).  Raises ``ValueError`` for
+        a payload that cannot be fingerprinted, storing nothing."""
+        entry = CacheEntry.encode(key, payload)
         with self._lock:
-            self._remember(key, payload)
+            self._remember(entry)
             self.stats.seeds += 1
+        return entry
 
     def memory_digests(self) -> List[Tuple[str, str]]:
         """``(digest, program_hash)`` for every memory-tier entry —
@@ -254,21 +290,32 @@ class ResultCache:
         the router's anti-entropy pass compares across replicas.  A
         lock and a list copy; never touches disk."""
         with self._lock:
-            return [(digest, key.program_hash)
-                    for digest, (key, _) in self._memory.items()]
+            return [(digest, entry.key.program_hash)
+                    for digest, entry in self._memory.items()]
 
     def get_by_digest(self, digest: str) -> Optional[Tuple[CacheKey, dict]]:
         """Memory-tier lookup by key digest (no :class:`CacheKey` in
         hand) — the fetch half of anti-entropy repair.  Does not count
         as a hit or bump LRU recency: repair reads are bookkeeping,
-        not traffic."""
+        not traffic.  The payload comes back decoded."""
         with self._lock:
             entry = self._memory.get(digest)
-            return None if entry is None else entry
+        return None if entry is None else (entry.key, entry.decode())
 
-    def _write_disk(self, key: CacheKey, payload: dict) -> None:
-        record = {"key": key.to_obj(), "payload": payload}
-        text = json.dumps(record)
+    def _read_disk(self, key: CacheKey) -> Optional[CacheEntry]:
+        try:
+            with open(self._entry_path(key), "r",
+                      encoding="utf-8") as handle:
+                record = json.load(handle)
+            return CacheEntry.encode(key, record["payload"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None  # unreadable/truncated/foreign record: a miss
+
+    def _write_disk(self, entry: CacheEntry) -> None:
+        # The record is spliced around the stored bytes, not re-encoded.
+        key = entry.key
+        record = b"".join((b'{"key": ', json.dumps(key.to_obj()).encode(),
+                           b', "payload": ', entry.payload, b"}"))
         directory = self._program_dir(key.program_hash)
         # Two rounds: a concurrent invalidate_program/clear may remove
         # the program directory between makedirs and the rename.
@@ -278,8 +325,8 @@ class ResultCache:
             try:
                 fd, tmp_path = tempfile.mkstemp(dir=directory,
                                                 suffix=".tmp")
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(record)
                     if self.fsync:
                         handle.flush()
                         os.fsync(handle.fileno())
@@ -319,9 +366,9 @@ class ResultCache:
         finally:
             os.close(fd)
 
-    def _remember(self, key: CacheKey, payload: dict) -> None:
-        digest = key.digest
-        self._memory[digest] = (key, payload)
+    def _remember(self, entry: CacheEntry) -> None:
+        digest = entry.key.digest
+        self._memory[digest] = entry
         self._memory.move_to_end(digest)
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
@@ -334,9 +381,9 @@ class ResultCache:
         keys: Dict[str, CacheKey] = {}
         with self._lock:
             memory_items = list(self._memory.items())
-        for digest, (key, _) in memory_items:
-            if key.program_hash == prog_hash:
-                keys[digest] = key
+        for digest, entry in memory_items:
+            if entry.key.program_hash == prog_hash:
+                keys[digest] = entry.key
         for key, _ in self._iter_disk(prog_hash):
             keys.setdefault(key.digest, key)
         return list(keys.values())
@@ -362,13 +409,14 @@ class ResultCache:
 
     def entries_for_program(self,
                             prog_hash: str) -> List[Tuple[CacheKey, dict]]:
-        """(key, payload) pairs stored for one program version."""
+        """(key, payload) pairs stored for one program version, the
+        payloads decoded."""
         seen: Dict[str, Tuple[CacheKey, dict]] = {}
         with self._lock:
             memory_items = list(self._memory.items())
-        for digest, (key, payload) in memory_items:
-            if key.program_hash == prog_hash:
-                seen[digest] = (key, payload)
+        for digest, entry in memory_items:
+            if entry.key.program_hash == prog_hash:
+                seen[digest] = (entry.key, entry.decode())
         for key, payload in self._iter_disk(prog_hash):
             seen.setdefault(key.digest, (key, payload))
         return list(seen.values())
@@ -409,9 +457,9 @@ class ResultCache:
         with self._lock:
             entries = list(self._memory.values())
         written = 0
-        for key, payload in entries:
-            if not os.path.exists(self._entry_path(key)):
-                self._write_disk(key, payload)
+        for entry in entries:
+            if not os.path.exists(self._entry_path(entry.key)):
+                self._write_disk(entry)
                 written += 1
         return written
 

@@ -50,6 +50,10 @@ Service guarantees:
 * **Graceful shutdown** — ``shutdown`` (or SIGINT/SIGTERM) stops
   accepting computations, drains the in-flight ones, flushes the
   result cache to disk, and only then exits.
+* **Encode once** — a result is encoded to JSON bytes and
+  fingerprinted once, when the cache stores it; an ``analyze`` reply
+  copies those bytes in (:func:`~repro.service.transport.ok_line`)
+  instead of re-encoding the table per request.
 
 Execution model: analyses run either on one dedicated worker thread in
 the server process (``workers=0``, the default — warmest, since the
@@ -70,20 +74,19 @@ import os
 import sys
 import time
 from collections import OrderedDict, deque
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from dataclasses import replace as _replace
 
 from ..fixpoint.engine import AnalysisConfig
 from .batch import WorkerPool, _execute_spec
-from .cache import CacheKey, ResultCache, make_key
+from .cache import CacheEntry, CacheKey, ResultCache, make_key
 from .serialize import (canonical_json, check_fingerprint, decode_config,
                         decode_input_types, encode_config,
-                        encode_input_types, payload_fingerprint,
-                        program_hash)
+                        encode_input_types, program_hash)
 from .transport import (LINE_LIMIT as _LINE_LIMIT, LineServer,
                         ProtocolError, decode_message, error_envelope,
-                        ok_envelope)
+                        ok_envelope, ok_line)
 
 __all__ = ["AnalysisServer", "ServerStats", "RequestError",
            "DEFAULT_PORT", "serve_main"]
@@ -170,8 +173,6 @@ class AnalysisServer:
         self._draining = False
         self._server: Optional[LineServer] = None
         self._shutdown_event: Optional[asyncio.Event] = None
-        #: digest -> fingerprint memo (payload hashing is not free).
-        self._fingerprints: "OrderedDict[str, str]" = OrderedDict()
         #: request signature -> (spec, CacheKey) memo.  ``make_key``
         #: parses the program to compute its canonical hash — paying
         #: that per *request* (instead of per distinct workload) used
@@ -243,12 +244,12 @@ class AnalysisServer:
 
     # -- connection handling -------------------------------------------------
 
-    async def _serve_line(self, line: bytes) -> dict:
+    async def _serve_line(self, line: bytes) -> Union[dict, bytes]:
         """:class:`LineServer` handler: one request line in, one
-        response envelope out."""
+        response envelope (or framed reply line) out."""
         return await self._dispatch(line)
 
-    async def _dispatch(self, line: bytes) -> dict:
+    async def _dispatch(self, line: bytes) -> Union[dict, bytes]:
         request_id = None
         try:
             try:
@@ -262,6 +263,8 @@ class AnalysisServer:
                 raise RequestError("unknown op %r (expected one of %s)"
                                    % (op, ", ".join(sorted(self._OPS))))
             result = await handler(self, request)
+            if isinstance(result, bytes):  # a framed reply line
+                return result
             return ok_envelope(request_id, result)
         except RequestError as error:
             if error.code not in ("overloaded", "timeout"):
@@ -426,9 +429,9 @@ class AnalysisServer:
         both; they differ only in whether the blame slices travel back
         to the client."""
         spec, key = self._check_spec_of(request)
-        outcome = await self._analyze(spec, key, True,
-                                      self._timeout_of(request))
-        payload = outcome.pop("payload", None) or {}
+        outcome, entry = await self._analyze(spec, key,
+                                             self._timeout_of(request))
+        payload = entry.decode()
         check = payload.get("check") or {"verdicts": [], "slices": []}
         verdicts = check.get("verdicts", [])
         counts: Dict[str, int] = {}
@@ -446,19 +449,11 @@ class AnalysisServer:
             outcome["payload"] = payload
         return outcome
 
-    def _fingerprint(self, digest: str, payload: dict) -> str:
-        memo = self._fingerprints
-        fingerprint = memo.get(digest)
-        if fingerprint is None:
-            fingerprint = payload_fingerprint(payload)
-            memo[digest] = fingerprint
-            if len(memo) > 4096:
-                memo.popitem(last=False)
-        return fingerprint
-
     async def _analyze(self, spec: dict, key: CacheKey,
-                       want_payload: bool,
-                       timeout: Optional[float]) -> dict:
+                       timeout: Optional[float]
+                       ) -> Tuple[dict, CacheEntry]:
+        """The reply fields of one analyze request (no payload) and the
+        cache entry that answers it."""
         start = time.perf_counter()
         self.stats.requests += 1
         digest = key.digest
@@ -472,14 +467,14 @@ class AnalysisServer:
         # going stale while its computation both finishes and leaves
         # the inflight map) costs one redundant — and identical —
         # analysis, never a wrong answer.
-        payload = self.cache.get_memory(key)
-        if payload is None:
+        entry = self.cache.get_memory(key)
+        if entry is None:
             if self.cache.cache_dir is None:
-                payload = self.cache.get(key)
+                entry = self.cache.get_entry(key)
             else:
-                payload = await loop.run_in_executor(None,
-                                                     self.cache.get, key)
-        if payload is None:
+                entry = await loop.run_in_executor(
+                    None, self.cache.get_entry, key)
+        if entry is None:
             cached = False
             future = self._inflight.get(digest)
             if future is not None:
@@ -506,8 +501,8 @@ class AnalysisServer:
                 self._pending += 1
                 asyncio.ensure_future(self._run_spec(spec, key, future))
             try:
-                payload = await asyncio.wait_for(asyncio.shield(future),
-                                                 timeout)
+                entry = await asyncio.wait_for(asyncio.shield(future),
+                                               timeout)
             except asyncio.TimeoutError:
                 # The computation is left running: it will finish,
                 # populate the cache, and resolve any later riders.
@@ -518,16 +513,13 @@ class AnalysisServer:
                     "result)" % timeout, "timeout")
         seconds = time.perf_counter() - start
         self.stats.latencies.append(seconds)
-        result = {
-            "fingerprint": self._fingerprint(digest, payload),
+        return {
+            "fingerprint": entry.fingerprint,
             "key": digest,
             "cached": cached,
             "coalesced": coalesced,
             "seconds": round(seconds, 6),
-        }
-        if want_payload:
-            result["payload"] = payload
-        return result
+        }, entry
 
     async def _run_spec(self, spec: dict, key: CacheKey,
                         future: "asyncio.Future") -> None:
@@ -537,9 +529,10 @@ class AnalysisServer:
                         else self._executor)
             _, payload, _ = await loop.run_in_executor(
                 executor, _execute_spec, spec)
-            # disk write off the event loop (ResultCache is locked)
-            await loop.run_in_executor(None, self.cache.put, key,
-                                       payload)
+            # encode, fingerprint and disk write off the event loop
+            # (ResultCache is locked)
+            entry = await loop.run_in_executor(None, self.cache.put,
+                                               key, payload)
             self.stats.analyses_executed += 1
         except BaseException as error:
             if not future.done():
@@ -550,7 +543,7 @@ class AnalysisServer:
             if self._inflight.get(key.digest) is future:
                 del self._inflight[key.digest]
         if not future.done():
-            future.set_result(payload)
+            future.set_result(entry)
 
     def _timeout_of(self, request: dict) -> Optional[float]:
         """Effective timeout: the server cap, lowered per request."""
@@ -564,11 +557,13 @@ class AnalysisServer:
 
     # -- ops -----------------------------------------------------------------
 
-    async def _op_analyze(self, request: dict) -> dict:
+    async def _op_analyze(self, request: dict) -> Union[dict, bytes]:
         spec, key = self._spec_of(request)
-        return await self._analyze(spec, key,
-                                   bool(request.get("payload", True)),
-                                   self._timeout_of(request))
+        result, entry = await self._analyze(spec, key,
+                                            self._timeout_of(request))
+        if not request.get("payload", True):
+            return result
+        return ok_line(request.get("id"), result, entry.payload)
 
     async def _op_check(self, request: dict) -> dict:
         """Assertion verdicts for the workload's own ``assert_*``
@@ -597,11 +592,12 @@ class AnalysisServer:
 
         async def one(spec: dict, key: CacheKey) -> dict:
             try:
-                result = await self._analyze(spec, key, want_payload,
-                                             timeout)
+                result, entry = await self._analyze(spec, key, timeout)
             except RequestError as error:
                 return {"name": spec["name"], "ok": False,
                         "error": str(error), "code": error.code}
+            if want_payload:
+                result["payload"] = entry.decode()
             result["name"] = spec["name"]
             result["ok"] = True
             return result
@@ -639,7 +635,10 @@ class AnalysisServer:
         else:
             spec, key = self._spec_of(request)
             name = spec["name"]
-        self.cache.seed(key, payload)
+        try:
+            self.cache.seed(key, payload)
+        except ValueError as error:
+            raise RequestError("'seed' payload rejected: %s" % error)
         self.stats.seeds += 1
         return {"seeded": True, "key": key.digest, "name": name}
 
@@ -768,8 +767,7 @@ async def _warm(server: AnalysisServer, names) -> None:
         names = benchmark_names()
     for name in names:
         spec, key = server._spec_of({"benchmark": name})
-        await server._analyze(spec, key, want_payload=False,
-                              timeout=server.request_timeout)
+        await server._analyze(spec, key, timeout=server.request_timeout)
         print("warmed %s" % name, file=sys.stderr)
 
 

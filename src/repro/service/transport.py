@@ -11,7 +11,9 @@ a third copy:
 * **framing** — :func:`encode_message` / :func:`decode_message` and
   the shared :data:`LINE_LIMIT`;
 * **envelopes** — :func:`ok_envelope` / :func:`error_envelope`, the
-  ``{"id", "ok", "result" | "error"+"code"}`` response shape;
+  ``{"id", "ok", "result" | "error"+"code"}`` response shape, and
+  :func:`ok_line`, the framed ``ok`` reply around a payload that is
+  already JSON bytes;
 * **connection lifecycle** — :class:`LineServer` (asyncio accept loop,
   per-connection read/dispatch/write cycle, oversized-line recovery,
   connection tracking for graceful drain), :class:`AsyncLineConnection`
@@ -34,7 +36,7 @@ from typing import Any, Awaitable, Callable, Optional, Union
 
 __all__ = ["LINE_LIMIT", "ProtocolError", "ConnectError",
            "encode_message", "decode_message",
-           "ok_envelope", "error_envelope",
+           "ok_envelope", "error_envelope", "ok_line",
            "LineServer", "AsyncLineConnection", "BlockingLineConnection"]
 
 #: Maximum request/response line length (program sources travel
@@ -82,6 +84,18 @@ def decode_message(line: Union[bytes, str]) -> dict:
 
 def ok_envelope(request_id: Any, result: Any) -> dict:
     return {"id": request_id, "ok": True, "result": result}
+
+
+def ok_line(request_id: Any, result: dict, payload: bytes) -> bytes:
+    """The framed ``ok`` reply whose ``result`` is ``result`` plus a
+    ``payload`` field holding the already-encoded JSON ``payload``.
+    The payload bytes are copied in, never re-encoded: a warm cache
+    hit costs a copy, not a ``json.dumps`` of the whole table."""
+    head = json.dumps(ok_envelope(request_id, result)).encode("utf-8")
+    # ``head`` ends with the closing braces of ``result`` and the
+    # envelope; the payload field goes in just before them.
+    return b"".join((head[:-2], b', "payload": ' if result
+                     else b'"payload": ', payload, b"}}\n"))
 
 
 def error_envelope(request_id: Any, message: str,

@@ -340,3 +340,182 @@ def test_worker_pool_mode_matches_oneshot():
         if process.poll() is None:
             process.terminate()
             process.wait(timeout=30)
+
+
+# -- the encoded hit path ----------------------------------------------------
+#
+# The memory tier holds each result as JSON bytes encoded once when it
+# is stored; analyze replies copy those bytes in.  These tests pin that
+# every path into the tier serves the same bytes and that a hit never
+# re-encodes the table.
+
+def without_stats(payload):
+    """A payload minus ``stats`` (its measured times differ per run)."""
+    return {k: v for k, v in payload.items() if k != "stats"}
+
+
+def count_payload_encodes(monkeypatch):
+    """Record every ``json.dumps`` of an analysis payload, alone or as
+    the payload of a reply envelope."""
+    calls = []
+    real = json.dumps
+
+    def is_payload(obj):
+        return isinstance(obj, dict) and "entries" in obj \
+            and "stats" in obj
+
+    def dumps(obj, *args, **kwargs):
+        result = obj.get("result") if isinstance(obj, dict) else None
+        if is_payload(obj) or (isinstance(result, dict)
+                               and is_payload(result.get("payload"))):
+            calls.append(obj)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    return calls
+
+
+def test_warm_hits_serve_the_cold_payload_encoded_once(monkeypatch):
+    from repro.service.serialize import encode_result
+    bp = benchmark("QU")
+    direct = encode_result(analyze(bp.source, bp.query,
+                                   input_types=bp.input_types).result)
+    calls = count_payload_encodes(monkeypatch)
+
+    async def scenario(server):
+        cold = await send(server, {"id": 1, "op": "analyze",
+                                   "benchmark": "QU"})
+        hits = [await send(server, {"id": i, "op": "analyze",
+                                    "benchmark": "QU"})
+                for i in range(2, 7)]
+        return cold, hits
+
+    cold, hits = run_scenario(scenario)
+    assert cold["ok"] and not cold["result"]["cached"]
+    assert cold["result"]["fingerprint"] == direct_fingerprint("QU")
+    assert without_stats(cold["result"]["payload"]) == \
+        without_stats(direct)
+    for request_id, hit in enumerate(hits, 2):
+        assert hit["id"] == request_id and hit["ok"]
+        assert hit["result"]["cached"]
+        assert hit["result"]["payload"] == cold["result"]["payload"]
+        assert hit["result"]["fingerprint"] == \
+            cold["result"]["fingerprint"]
+    assert len(calls) == 1, "the payload must be encoded once, on store"
+
+
+def test_hit_after_invalidate_serves_the_recomputed_bytes(monkeypatch):
+    """Each computation is tagged in its stats; after ``invalidate``
+    and a recompute, hits carry the new tag, never the stale one."""
+    real = server_module._execute_spec
+    generation = [0]
+
+    def tagged(spec):
+        name, payload, seconds = real(spec)
+        generation[0] += 1
+        payload["stats"]["cpu_time"] = generation[0]
+        return name, payload, seconds
+
+    monkeypatch.setattr(server_module, "_execute_spec", tagged)
+    request = {"op": "analyze", "source": "gen(a).\n",
+               "query": ["gen", 1]}
+
+    async def scenario(server):
+        seen = []
+        for _ in range(2):
+            await send(server, dict(request, id=1))
+            seen.append(await send(server, dict(request, id=2)))
+            await send(server, {"op": "invalidate",
+                                "source": request["source"]})
+        return seen
+
+    first, second = run_scenario(scenario)
+    assert first["result"]["cached"] and second["result"]["cached"]
+    assert first["result"]["payload"]["stats"]["cpu_time"] == 1
+    assert second["result"]["payload"]["stats"]["cpu_time"] == 2
+    assert first["result"]["fingerprint"] == \
+        second["result"]["fingerprint"]
+
+
+def test_disk_promoted_and_seeded_entries_serve_the_computed_bytes(
+        tmp_path):
+    request = {"op": "analyze", "benchmark": "AR"}
+
+    async def analyze_once(server):
+        return await send(server, dict(request, id=1))
+
+    cold = run_scenario(analyze_once, cache=ResultCache(tmp_path))
+    from_disk = run_scenario(analyze_once, cache=ResultCache(tmp_path))
+
+    async def seeded(server):
+        pushed = await send(server, {"id": 1, "op": "seed",
+                                     "benchmark": "AR",
+                                     "payload": cold["result"]["payload"]})
+        return pushed, await send(server, dict(request, id=2))
+
+    pushed, from_seed = run_scenario(seeded)
+    assert not cold["result"]["cached"]
+    assert pushed["ok"] and pushed["result"]["key"] == cold["result"]["key"]
+    for hit in (from_disk, from_seed):
+        assert hit["result"]["cached"]
+        assert hit["result"]["payload"] == cold["result"]["payload"]
+        assert hit["result"]["fingerprint"] == \
+            cold["result"]["fingerprint"]
+
+
+def test_dict_callers_get_the_same_objects_as_analyze():
+    """check, slice, batch with payload=True and fetch decode the same
+    stored entry the analyze reply carries."""
+    from repro.service.serialize import check_fingerprint
+
+    async def scenario(server):
+        analyzed = await send(server, {"id": 1, "op": "analyze",
+                                       "benchmark": "QU"})
+        batched = await send(server, {"id": 2, "op": "batch",
+                                      "benchmarks": ["QU"],
+                                      "payload": True})
+        fetched = await send(server, {"id": 3, "op": "fetch",
+                                      "digest": analyzed["result"]["key"]})
+        check = await send(server, {"id": 4, "op": "check",
+                                    "benchmark": "CHK", "payload": True})
+        sliced = await send(server, {"id": 5, "op": "slice",
+                                     "benchmark": "CHK"})
+        return analyzed, batched, fetched, check, sliced
+
+    analyzed, batched, fetched, check, sliced = run_scenario(scenario)
+    payload = analyzed["result"]["payload"]
+    [job] = batched["result"]["jobs"]
+    assert job["ok"] and job["cached"] and job["payload"] == payload
+    assert job["fingerprint"] == analyzed["result"]["fingerprint"]
+    assert fetched["result"]["payload"] == payload
+    assert fetched["result"]["key"]["query"] == \
+        list(benchmark("QU").query)
+    section = check["result"]["payload"]["check"]
+    assert check["result"]["verdicts"] == section["verdicts"]
+    assert check["result"]["check_fingerprint"] == \
+        check_fingerprint(section)
+    assert sliced["result"]["cached"]
+    assert sliced["result"]["slices"] == section["slices"]
+    assert sliced["result"]["check_fingerprint"] == \
+        check["result"]["check_fingerprint"]
+
+
+def test_malformed_seed_is_refused_and_stores_nothing():
+    """A seed payload that cannot be fingerprinted used to be stored
+    and then fail every analyze of its workload (KeyError: 'entries')
+    until evicted."""
+    request = {"source": "p(a).\n", "query": ["p", 1]}
+
+    async def scenario(server):
+        seeded = await send(server, dict(request, id=1, op="seed",
+                                         payload={}))
+        inventory = server.cache.memory_digests()
+        analyzed = await send(server, dict(request, id=2, op="analyze"))
+        return seeded, inventory, analyzed
+
+    seeded, inventory, analyzed = run_scenario(scenario)
+    assert not seeded["ok"] and seeded["code"] == "bad-request"
+    assert inventory == []
+    assert analyzed["ok"] and not analyzed["result"]["cached"]
+    assert analyzed["result"]["fingerprint"] == result_fingerprint(
+        analyze(request["source"], ("p", 1)).result)

@@ -284,7 +284,7 @@ def test_reader_never_sees_partial_record(tmp_path, append_source,
     old complete record or the new complete record, never a prefix."""
     cache = ResultCache(tmp_path)
     key = make_key(append_source, ("append", 3))
-    cache.put(key, payload)
+    entry = cache.put(key, payload)
     path = cache._entry_path(key)
     stop = threading.Event()
     errors = []
@@ -292,7 +292,7 @@ def test_reader_never_sees_partial_record(tmp_path, append_source,
     def rewrite():
         try:
             while not stop.is_set():
-                cache._write_disk(key, payload)
+                cache._write_disk(entry)
         except BaseException as error:  # pragma: no cover
             errors.append(error)
 
@@ -378,3 +378,62 @@ def test_seed_is_memory_only(tmp_path, append_source, payload):
     assert cache.get(key) == payload
     assert cache.stats.memory_hits == 1
     assert ResultCache(tmp_path).get(key) is None       # other procs miss
+
+
+# -- encoded memory entries --------------------------------------------------
+
+def test_entries_hold_bytes_encoded_once_on_every_path(tmp_path,
+                                                       append_source,
+                                                       payload):
+    """put, a disk read promoted into memory, and seed all store the
+    same canonical bytes and fingerprint; the tier keeps no dict."""
+    from repro.service.serialize import canonical_json, payload_fingerprint
+    key = make_key(append_source, ("append", 3))
+    computed = ResultCache(tmp_path).put(key, payload)
+    assert computed.payload == canonical_json(payload).encode()
+    assert computed.fingerprint == payload_fingerprint(payload)
+    reader = ResultCache(tmp_path)
+    promoted = reader.get_entry(key)
+    assert reader.stats.disk_hits == 1
+    assert reader.get_memory(key) is promoted
+    seeded = ResultCache().seed(key, payload)
+    for entry in (promoted, seeded):
+        assert entry == computed
+    assert all(isinstance(entry.payload, bytes)
+               for entry in reader._memory.values())
+
+
+def test_get_decodes_a_fresh_dict_per_call(append_source, payload):
+    cache = ResultCache()
+    key = make_key(append_source, ("append", 3))
+    cache.put(key, payload)
+    first = cache.get(key)
+    first["entries"].clear()
+    assert cache.get(key) == payload
+    assert cache.get_by_digest(key.digest) == (key, payload)
+
+
+@pytest.mark.parametrize("bad", [{}, {"entries": []}, [], {"entries": 3}])
+def test_unfingerprintable_payload_is_refused(tmp_path, append_source, bad):
+    cache = ResultCache(tmp_path)
+    key = make_key(append_source, ("append", 3))
+    for store in (cache.seed, cache.put):
+        with pytest.raises(ValueError):
+            store(key, bad)
+    assert len(cache) == 0
+    assert cache.stats.seeds == cache.stats.puts == 0
+
+
+def test_foreign_disk_record_is_a_miss(tmp_path, append_source, payload):
+    """A well-formed record whose payload cannot be fingerprinted reads
+    as a miss instead of entering the memory tier."""
+    key = make_key(append_source, ("append", 3))
+    cache = ResultCache(tmp_path)
+    cache.put(key, payload)
+    with open(cache._entry_path(key), "w") as handle:
+        json.dump({"key": key.to_obj(), "payload": {"entries": []}},
+                  handle)
+    fresh = ResultCache(tmp_path)
+    assert fresh.get(key) is None
+    assert fresh.stats.misses == 1
+    assert fresh.memory_digests() == []

@@ -18,7 +18,7 @@ import pytest
 from repro.service.transport import (
     AsyncLineConnection, BlockingLineConnection, ConnectError,
     LineServer, ProtocolError, decode_message, encode_message,
-    error_envelope, ok_envelope)
+    error_envelope, ok_envelope, ok_line)
 
 
 # -- framing and envelopes ---------------------------------------------------
@@ -48,6 +48,18 @@ def test_envelope_shapes():
     assert error == {"id": None, "ok": False, "error": "boom",
                      "code": "timeout"}
     assert error_envelope(1, "bad")["code"] == "bad-request"
+
+
+def test_ok_line_splices_an_encoded_payload():
+    payload = {"entries": [{"id": 0}], "text": "caf\u00e9 \"q\"\n"}
+    encoded = json.dumps(payload, separators=(",", ":")).encode()
+    line = ok_line(7, {"fingerprint": "f", "cached": True}, encoded)
+    assert line.endswith(b"\n") and b"\n" not in line[:-1]
+    assert encoded in line  # copied in, not re-encoded
+    assert decode_message(line) == ok_envelope(
+        7, {"fingerprint": "f", "cached": True, "payload": payload})
+    assert decode_message(ok_line("x", {}, b"[]")) == \
+        ok_envelope("x", {"payload": []})
 
 
 # -- LineServer --------------------------------------------------------------
