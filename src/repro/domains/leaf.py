@@ -70,6 +70,11 @@ class LeafDomain:
     #: value that exceeds the depth bound, so even x ⊔ x must run.
     idempotent_joins = True
 
+    #: Or-degree restriction of grammar-backed domains (see
+    #: :class:`TypeLeafDomain`); None for the others, so the pattern
+    #: layer hands every domain's native walks the same arguments.
+    max_or_width: Optional[int] = None
+
     def __init__(self) -> None:
         global _NEXT_DID
         self.did = _NEXT_DID

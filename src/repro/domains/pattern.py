@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..typegraph import arena, opcache
-from .leaf import LeafDomain, TypeLeafDomain
+from .leaf import LeafDomain, TrivialLeafDomain, TypeLeafDomain
 
 __all__ = [
     "PatNode", "AbstractSubst", "SubstBuilder", "PAT_BOTTOM", "PatBottom",
@@ -42,16 +42,29 @@ __all__ = [
 ]
 
 
-def _native_for(domain: LeafDomain):
-    """The native-tier module when it may handle ``domain``, else None.
+#: The C leaf kinds (``LEAF_*`` in ``typegraph/_arenakernels.c``):
+#: whose primitives the native builder and walks mirror.
+_LEAF_TYPE = 0
+_LEAF_TRIVIAL = 1
 
-    Gated on :class:`TypeLeafDomain` (covers DepthBoundLeafDomain,
-    which inherits the meet/split/le primitives the C walks mirror;
-    excludes leaf domains with different primitives)."""
+
+def _native_for(domain: LeafDomain):
+    """``(native-tier module, C leaf kind)`` when the native tier may
+    handle ``domain``, else None.
+
+    The Type kind covers every :class:`TypeLeafDomain`, including
+    DepthBoundLeafDomain, which inherits the meet/split/le primitives
+    the C walks mirror and keeps its own join/widen as Python
+    callbacks.  The trivial kind covers exactly
+    :class:`TrivialLeafDomain`, whose degenerate primitives the C side
+    hard-codes.  Other leaf domains stay on the Python walks."""
     native = arena.NATIVE
-    if native is not None and arena.enabled() \
-            and isinstance(domain, TypeLeafDomain):
-        return native
+    if native is None or not arena.enabled():
+        return None
+    if isinstance(domain, TypeLeafDomain):
+        return native, _LEAF_TYPE
+    if type(domain) is TrivialLeafDomain:
+        return native, _LEAF_TRIVIAL
     return None
 
 
@@ -180,7 +193,7 @@ class AbstractSubst:
         self.sv = sv
         self.nodes = nodes
         self._hash: Optional[int] = None
-        #: per-instance :func:`value_of` memo, keyed (domain, index) —
+        #: per-instance :func:`value_of` memo, keyed (did, index) —
         #: the engine collapses the same cached clause outputs on
         #: every join/compare, so the memo pays across calls, not just
         #: within one merge walk.
@@ -493,12 +506,13 @@ class SubstBuilder:
 
 def make_builder(domain: LeafDomain):
     """A substitution builder for ``domain`` on the active kernel tier
-    (the C union-find engine when the native tier is loaded and the
-    leaf domain is grammar-backed, else the reference builder).  Both
-    freeze to identical interned :class:`AbstractSubst` instances."""
-    native = _native_for(domain)
-    if native is not None:
-        return native.make_builder(domain)
+    (the C union-find engine when the native tier is loaded and mirrors
+    the leaf domain, else the reference builder).  Both freeze to
+    identical interned :class:`AbstractSubst` instances."""
+    gate = _native_for(domain)
+    if gate is not None:
+        native, kind = gate
+        return native.make_builder(domain, kind)
     return SubstBuilder(domain)
 
 
@@ -516,20 +530,22 @@ def value_of(subst: AbstractSubst, index: int, domain: LeafDomain,
     """Collapse the subtree at ``index`` into a single R-value.
 
     Memoized on the substitution instance (nodes are immutable), keyed
-    by domain, so repeated joins/compares against the same frozen
-    substitution collapse each subtree once per process instead of
-    once per call.  The ``memo`` parameter is kept for API
-    compatibility; the instance cache subsumes it."""
+    by the domain's ``did`` (not the domain itself, which a pinned
+    substitution would then keep alive), so repeated joins/compares
+    against the same frozen substitution collapse each subtree once
+    per process instead of once per call.  The ``memo`` parameter is
+    kept for API compatibility; the instance cache subsumes it."""
     if subst.interned:
-        native = _native_for(domain)
-        if native is not None:
+        gate = _native_for(domain)
+        if gate is not None:
+            native, kind = gate
             return native.value_of(subst, index, domain.did,
-                                   domain.max_or_width)
+                                   domain.max_or_width, kind)
     cache = subst._collapse
     if cache is None:
         cache = {}
         subst._collapse = cache
-    key = (domain, index)
+    key = (domain.did, index)
     value = cache.get(key)
     if value is not None:
         return value
@@ -576,14 +592,16 @@ def _merge_join(s1: AbstractSubst, s2: AbstractSubst,
     """``_merge`` with the leaf join, through the native walk when the
     tier can run it.  A domain that inherits ``TypeLeafDomain.join``
     unmodified gets the pure-C combiner (mode 1); an overriding domain
-    (e.g. depth-``k`` bounding) keeps its Python join as a callback."""
+    (e.g. depth-``k`` bounding) keeps its Python join as a callback.
+    The trivial kind joins to TOP in C whatever the mode."""
     if s1.interned and s2.interned:
-        native = _native_for(domain)
-        if native is not None:
+        gate = _native_for(domain)
+        if gate is not None:
+            native, kind = gate
             mode = 1 if type(domain).join is TypeLeafDomain.join else 0
             return native.subst_merge(s1, s2, domain.did,
                                       domain.max_or_width, mode, True,
-                                      domain.join)
+                                      domain.join, kind)
     return _merge(s1, s2, domain, domain.join)
 
 
@@ -593,13 +611,14 @@ def _merge_widen(old: AbstractSubst, new: AbstractSubst,
     domain keeps ``TypeLeafDomain.widen`` and has no type database —
     the database extension grafts arbitrary Python grammars."""
     if old.interned and new.interned:
-        native = _native_for(domain)
-        if native is not None:
+        gate = _native_for(domain)
+        if gate is not None:
+            native, kind = gate
             mode = (2 if type(domain).widen is TypeLeafDomain.widen
                     and domain.type_database is None else 0)
             return native.subst_merge(
                 old, new, domain.did, domain.max_or_width, mode, strict,
-                lambda a, b: domain.widen(a, b, strict))
+                lambda a, b: domain.widen(a, b, strict), kind)
     return _merge(old, new, domain,
                   lambda a, b: domain.widen(a, b, strict))
 
@@ -678,10 +697,11 @@ def subst_le(s1, s2, domain: LeafDomain) -> bool:
 
 def _subst_le_impl(s1, s2, domain: LeafDomain) -> bool:
     if s1.interned and s2.interned:
-        native = _native_for(domain)
-        if native is not None:
+        gate = _native_for(domain)
+        if gate is not None:
+            native, kind = gate
             return native.subst_le(s1, s2, domain.did,
-                                   domain.max_or_width)
+                                   domain.max_or_width, kind)
     refcounts2 = s2.refcounts()
     map21: Dict[int, int] = {}
 

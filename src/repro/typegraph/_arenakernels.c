@@ -16,8 +16,9 @@
  *      intern-table callback)
  *   5. grammar operations: le / union / intersect / functor /
  *      subgrammar / split, with C-side memo tables
- *   6. pattern-layer walks: value_of / subst_le over frozen
- *      substitution structs
+ *   6. pattern-layer walks: value_of / subst_le / merge over frozen
+ *      substitution structs, for both leaf kinds (Type grammars and
+ *      the trivial principal-functor baseline)
  *   7. the KNode union-find builder (unify / constrain / fork /
  *      freeze / instantiate)
  */
@@ -145,6 +146,8 @@ static PyObject *obj_any;          /* the interned Any grammar */
 static PyObject *obj_bottom;       /* the interned bottom grammar */
 static PyObject *cb_pat_bottom;    /* () -> PAT_BOTTOM (lazy) */
 static PyObject *obj_pat_bottom;   /* cached PAT_BOTTOM */
+static PyObject *cb_top;           /* () -> TrivialLeafDomain's TOP (lazy) */
+static PyObject *obj_top;          /* cached TOP */
 static PyObject *s_gid;            /* "gid" */
 static PyObject *s_sid;            /* "sid" */
 
@@ -2460,6 +2463,38 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* leaf kinds: which leaf domain's primitives a pattern walk mirrors    */
+
+/* LEAF_TYPE is TypeLeafDomain: leaves are grammars and the primitives
+ * are the arena kernels above.  LEAF_TRIVIAL is TrivialLeafDomain, the
+ * principal-functor baseline, whose primitives are degenerate: every
+ * leaf is the TOP singleton (not a grammar), meet / join / widen /
+ * from_functor give TOP, split gives TOP per argument, le is always
+ * true and le_tree always false.  No grammar kernel ever sees TOP. */
+enum { LEAF_TYPE = 0, LEAF_TRIVIAL = 1 };
+
+/* Validate a kind handed in from Python.  TOP is resolved on first
+ * trivial use, like PAT_BOTTOM: the domain layer imports after this
+ * module is wired.  -1 with an exception set on failure. */
+static int check_kind(int kind) {
+    if (kind == LEAF_TYPE) return 0;
+    if (kind != LEAF_TRIVIAL) {
+        PyErr_Format(PyExc_ValueError, "unknown leaf kind %d", kind);
+        return -1;
+    }
+    if (!obj_top) {
+        obj_top = PyObject_CallNoArgs(cb_top);
+        if (!obj_top) return -1;
+    }
+    return 0;
+}
+
+/* domain.top() of a checked kind (borrowed) */
+static PyObject *leaf_top(int kind) {
+    return kind == LEAF_TRIVIAL ? obj_top : obj_any;
+}
+
+/* ------------------------------------------------------------------ */
 /* pattern-layer walks: frozen substitution structs                    */
 
 typedef struct {
@@ -2487,6 +2522,28 @@ static void csubst_free(CSubst *s) {
     free(s->leaf); free(s->args);
     Py_XDECREF(s->subst);
     free(s);
+}
+
+/* Each CSubst holds its AbstractSubst strongly, so the map pins every
+ * substitution the tier has seen until clear_memos releases it.  A
+ * walk holding CSubst pointers can call back into Python, so a release
+ * asked for during one waits until the last walk ends. */
+static int g_subst_walks = 0;
+static int g_subst_release_pending = 0;
+
+static void subst_map_release(void) {
+    IMap m = g_subst_map;            /* detached first: freeing runs */
+    memset(&g_subst_map, 0, sizeof g_subst_map);   /* Python code */
+    g_subst_release_pending = 0;
+    for (size_t i = 0; i < m.cap; i++)
+        if (m.keys[i] != IMAP_EMPTY)
+            csubst_free((CSubst *)(intptr_t)m.vals[i]);
+    imap_free(&m);
+}
+
+static void subst_walk_end(void) {
+    if (--g_subst_walks == 0 && g_subst_release_pending)
+        subst_map_release();
 }
 
 static long get_sid(PyObject *s) {
@@ -2571,8 +2628,14 @@ static CSubst *get_csubst(PyObject *subst) {
     return s;
 }
 
-/* collapse the subtree at `index` into one grammar (value_of) */
-static PyObject *value_of_c(CSubst *s, int index, int did, int w) {
+/* collapse the subtree at `index` into one leaf value (value_of) */
+static PyObject *value_of_c(CSubst *s, int index, int did, int w,
+                            int kind) {
+    if (kind == LEAF_TRIVIAL) {     /* from_functor collapses to TOP */
+        PyObject *v = s->leaf[index] ? s->value[index] : obj_top;
+        Py_INCREF(v);
+        return v;
+    }
     int64_t ck = ((int64_t)did << 32) | (uint32_t)index;
     int64_t hit;
     if (imap_get(&s->collapse, ck, &hit)) {
@@ -2593,7 +2656,7 @@ static PyObject *value_of_c(CSubst *s, int index, int did, int w) {
         PyObject *children = PyTuple_New(na);
         if (!children) return NULL;
         for (int k = 0; k < na; k++) {
-            PyObject *c = value_of_c(s, s->args[as + k], did, w);
+            PyObject *c = value_of_c(s, s->args[as + k], did, w, kind);
             if (!c) { Py_DECREF(children); return NULL; }
             PyTuple_SET_ITEM(children, k, c);
         }
@@ -2632,12 +2695,13 @@ done:
 }
 
 static int csubst_le(CSubst *s1, CSubst *s2, const int *ref2, int *map21,
-                     int i1, int i2, int did, int w) {
+                     int i1, int i2, int did, int w, int kind) {
     if (map21[i2] >= 0)
         return map21[i2] == i1;    /* s2's sharing must hold in s1 */
     map21[i2] = i1;
     if (s2->leaf[i2]) {
-        PyObject *v1 = value_of_c(s1, i1, did, w);
+        if (kind == LEAF_TRIVIAL) return 1;     /* le is always true */
+        PyObject *v1 = value_of_c(s1, i1, did, w, kind);
         if (!v1) return -1;
         int r = c_g_le(v1, s2->value[i2]);
         Py_DECREF(v1);
@@ -2655,7 +2719,7 @@ static int csubst_le(CSubst *s1, CSubst *s2, const int *ref2, int *map21,
                 for (int k = 0; k < na1; k++) {
                     int r = csubst_le(s1, s2, ref2, map21,
                                       s1->args[as1 + k],
-                                      s2->args[as2 + k], did, w);
+                                      s2->args[as2 + k], did, w, kind);
                     if (r <= 0) return r;
                 }
                 return 1;
@@ -2664,14 +2728,16 @@ static int csubst_le(CSubst *s1, CSubst *s2, const int *ref2, int *map21,
         return 0;
     }
     /* n1 leaf below an n2 pattern: only certifiable when s2's subtree
-     * is sharing-free, through the leaf domain's le_tree */
+     * is sharing-free, through the leaf domain's le_tree (which the
+     * trivial domain never certifies) */
+    if (kind == LEAF_TRIVIAL) return 0;
     int shared = csubst_subtree_shared(s2, ref2, i2);
     if (shared) return shared < 0 ? -1 : 0;
     PyObject *children = PyTuple_New(na2);
     if (!children) return -1;
     int as2 = s2->arg_start[i2];
     for (int k = 0; k < na2; k++) {
-        PyObject *c = value_of_c(s2, s2->args[as2 + k], did, w);
+        PyObject *c = value_of_c(s2, s2->args[as2 + k], did, w, kind);
         if (!c) { Py_DECREF(children); return -1; }
         PyTuple_SET_ITEM(children, k, c);
     }
@@ -2680,7 +2746,7 @@ static int csubst_le(CSubst *s1, CSubst *s2, const int *ref2, int *map21,
         : c_g_functor(s2->name[i2], children, w);
     Py_DECREF(children);
     if (!tree) return -1;
-    PyObject *v1 = value_of_c(s1, i1, did, w);
+    PyObject *v1 = value_of_c(s1, i1, did, w, kind);
     if (!v1) { Py_DECREF(tree); return -1; }
     int r = c_g_le(v1, tree);
     Py_DECREF(v1);
@@ -2688,9 +2754,11 @@ static int csubst_le(CSubst *s1, CSubst *s2, const int *ref2, int *map21,
     return r;
 }
 
-static int c_subst_le(PyObject *subst1, PyObject *subst2, int did, int w) {
+static int c_subst_le(PyObject *subst1, PyObject *subst2, int did, int w,
+                      int kind) {
     PROF_BEGIN(OP_SUBST_LE)
     int res = -1;
+    g_subst_walks++;
     CSubst *s1 = get_csubst(subst1);
     CSubst *s2 = s1 ? get_csubst(subst2) : NULL;
     int *ref2 = NULL, *map21 = NULL;
@@ -2707,23 +2775,25 @@ static int c_subst_le(PyObject *subst1, PyObject *subst2, int did, int w) {
     res = 1;
     for (int k = 0; k < s1->nvars && res == 1; k++)
         res = csubst_le(s1, s2, ref2, map21, s1->sv[k], s2->sv[k],
-                        did, w);
+                        did, w, kind);
 done:
     free(ref2); free(map21);
+    subst_walk_end();
     PROF_END(OP_SUBST_LE)
     return res;
 }
 
 /* _merge (pattern._merge): the common-structure walk with its leaf
- * combiner.  mode 1 combines with the pure-C union, mode 2 with the
- * pure-C widening (the TypeLeafDomain join/widen bodies); mode 0
- * calls back into an arbitrary Python combiner for overriding
- * domains.  Slot assignment is the same preorder DFS as the Python
- * walk, so the frozen result is the identical interned object. */
+ * combiner.  For the Type kind, mode 1 combines with the pure-C
+ * union, mode 2 with the pure-C widening (the TypeLeafDomain
+ * join/widen bodies), and mode 0 calls back into an arbitrary Python
+ * combiner for overriding domains.  The trivial kind combines to TOP
+ * whatever the mode.  Slot assignment is the same preorder DFS as the
+ * Python walk, so the frozen result is the identical interned object. */
 
 typedef struct {
     CSubst *s1, *s2;
-    int did, w, mode, strict;
+    int did, w, mode, strict, kind;
     PyObject *combine;      /* borrowed; mode 0 only */
     PyObject *descs;        /* slot-ordered desc list */
     IMap memo;              /* (i1<<32 | i2) -> slot */
@@ -2747,7 +2817,9 @@ static int merge_walk(MergeCtx *m, int i1, int i2) {
         if (pattern < 0) return -1;
     }
     PyObject *desc;
-    if (pattern) {
+    if (!pattern && m->kind == LEAF_TRIVIAL) {
+        desc = PyTuple_Pack(1, obj_top);    /* join and widen give TOP */
+    } else if (pattern) {
         int as1 = s1->arg_start[i1], as2 = s2->arg_start[i2];
         int na = s1->arg_start[i1 + 1] - as1;
         PyObject *args = PyTuple_New(na);
@@ -2764,9 +2836,9 @@ static int merge_walk(MergeCtx *m, int i1, int i2) {
                              s1->is_int[i1] ? Py_True : Py_False, args);
         Py_DECREF(args);
     } else {
-        PyObject *v1 = value_of_c(s1, i1, m->did, m->w);
+        PyObject *v1 = value_of_c(s1, i1, m->did, m->w, m->kind);
         if (!v1) return -1;
-        PyObject *v2 = value_of_c(s2, i2, m->did, m->w);
+        PyObject *v2 = value_of_c(s2, i2, m->did, m->w, m->kind);
         if (!v2) { Py_DECREF(v1); return -1; }
         PyObject *value;
         if (m->mode == 1)
@@ -2820,14 +2892,16 @@ static PyObject *freeze_build_cached(PyObject *sv, PyObject *descs) {
 
 static PyObject *c_subst_merge(PyObject *subst1, PyObject *subst2,
                                int did, int w, int mode, int strict,
-                               PyObject *combine) {
+                               PyObject *combine, int kind) {
     PROF_BEGIN(OP_MERGE)
     PyObject *res = NULL, *sv = NULL;
     MergeCtx m; memset(&m, 0, sizeof m);
+    g_subst_walks++;
     m.s1 = get_csubst(subst1);
     m.s2 = m.s1 ? get_csubst(subst2) : NULL;
     if (!m.s2) goto done;
     m.did = did; m.w = w; m.mode = mode; m.strict = strict;
+    m.kind = kind;
     m.combine = combine;
     m.descs = PyList_New(0);
     if (!m.descs) goto done;
@@ -2845,6 +2919,7 @@ done:
     Py_XDECREF(sv);
     Py_XDECREF(m.descs);
     imap_free(&m.memo);
+    subst_walk_end();
     PROF_END(OP_MERGE)
     return res;
 }
@@ -2943,7 +3018,8 @@ static int is_top_c(PyObject *v) {
 }
 
 /* meet through the leaf domain: NULL + no error pending = bottom */
-static PyObject *meet_c(PyObject *a, PyObject *b, int w) {
+static PyObject *meet_c(PyObject *a, PyObject *b, int w, int kind) {
+    if (kind == LEAF_TRIVIAL) { Py_INCREF(obj_top); return obj_top; }
     PyObject *r = c_g_intersect(a, b, w);
     if (!r) return NULL;
     CArena *ar = get_arena(r);
@@ -2952,7 +3028,8 @@ static PyObject *meet_c(PyObject *a, PyObject *b, int w) {
     return r;
 }
 
-/* constrain(node, value): -1 error, 0 sure failure, 1 ok */
+/* constrain(node, value) for the Type kind: -1 error, 0 sure
+ * failure, 1 ok */
 static int kn_constrain_raw(KNode *node, PyObject *value, int w) {
     PROF_BEGIN(OP_CONSTRAIN)
     typedef struct { KNode *n; PyObject *v; } CItem;
@@ -2985,7 +3062,7 @@ static int kn_constrain_raw(KNode *node, PyObject *value, int w) {
         if (dup) { Py_DECREF((PyObject *)it.n); Py_DECREF(v); continue; }
         CPUSH(seen, slen, scap, n, v);
         if (n->args == NULL) {
-            PyObject *met = meet_c(n->value, v, w);
+            PyObject *met = meet_c(n->value, v, w, LEAF_TYPE);
             if (!met) {
                 Py_DECREF((PyObject *)it.n); Py_DECREF(v);
                 if (PyErr_Occurred()) goto done;
@@ -3032,7 +3109,7 @@ done:
 }
 
 /* unify(a, b): -1 error, 0 sure failure, 1 ok */
-static int kn_unify_raw(KNode *a, KNode *b, int w) {
+static int kn_unify_raw(KNode *a, KNode *b, int w, int kind) {
     PROF_BEGIN(OP_UNIFY)
     typedef struct { KNode *x, *y; } UPair;
     UPair *work = NULL;
@@ -3080,6 +3157,13 @@ static int kn_unify_raw(KNode *a, KNode *b, int w) {
         } else if (x->args != NULL || y->args != NULL) {
             KNode *pat = x->args != NULL ? x : y;
             KNode *leaf = x->args != NULL ? y : x;
+            if (kind == LEAF_TRIVIAL) {
+                /* split gives TOP per argument, which constrain skips */
+                kn_union(pat, leaf);
+                Py_DECREF((PyObject *)x);
+                Py_DECREF((PyObject *)y);
+                continue;
+            }
             PyObject *pieces = c_g_split(
                 leaf->value, pat->name,
                 (int)PyList_GET_SIZE(pat->args), pat->is_int);
@@ -3095,7 +3179,7 @@ static int kn_unify_raw(KNode *a, KNode *b, int w) {
                 Py_DECREF(pieces);
             }
         } else {
-            PyObject *met = meet_c(x->value, y->value, w);
+            PyObject *met = meet_c(x->value, y->value, w, kind);
             if (!met) ok = PyErr_Occurred() ? -1 : 0;
             else {
                 if (y->size > x->size) { KNode *t = x; x = y; y = t; }
@@ -3311,28 +3395,33 @@ static PyObject *py_g_split(PyObject *self, PyObject *args) {
 static PyObject *py_value_of(PyObject *self, PyObject *args) {
     (void)self;
     PyObject *subst, *w_obj;
-    int index, did;
-    if (!PyArg_ParseTuple(args, "OiiO", &subst, &index, &did, &w_obj))
+    int index, did, kind;
+    if (!PyArg_ParseTuple(args, "OiiOi", &subst, &index, &did, &w_obj,
+                          &kind))
         return NULL;
     int w = w_from_obj(w_obj);
-    if (w == -1 && PyErr_Occurred()) return NULL;
+    if ((w == -1 && PyErr_Occurred()) || check_kind(kind) < 0) return NULL;
+    g_subst_walks++;
     CSubst *s = get_csubst(subst);
-    if (!s) return NULL;
-    PROF_BEGIN(OP_VALUE_OF)
-    PyObject *res = value_of_c(s, index, did, w);
-    PROF_END(OP_VALUE_OF)
+    PyObject *res = NULL;
+    if (s) {
+        PROF_BEGIN(OP_VALUE_OF)
+        res = value_of_c(s, index, did, w, kind);
+        PROF_END(OP_VALUE_OF)
+    }
+    subst_walk_end();
     return res;
 }
 
 static PyObject *py_subst_le(PyObject *self, PyObject *args) {
     (void)self;
     PyObject *s1, *s2, *w_obj;
-    int did;
-    if (!PyArg_ParseTuple(args, "OOiO", &s1, &s2, &did, &w_obj))
+    int did, kind;
+    if (!PyArg_ParseTuple(args, "OOiOi", &s1, &s2, &did, &w_obj, &kind))
         return NULL;
     int w = w_from_obj(w_obj);
-    if (w == -1 && PyErr_Occurred()) return NULL;
-    int r = c_subst_le(s1, s2, did, w);
+    if ((w == -1 && PyErr_Occurred()) || check_kind(kind) < 0) return NULL;
+    int r = c_subst_le(s1, s2, did, w, kind);
     if (r < 0) return NULL;
     return PyBool_FromLong(r);
 }
@@ -3351,24 +3440,26 @@ static PyObject *py_g_widen(PyObject *self, PyObject *args) {
 static PyObject *py_subst_merge(PyObject *self, PyObject *args) {
     (void)self;
     PyObject *s1, *s2, *w_obj, *combine;
-    int did, mode, strict;
-    if (!PyArg_ParseTuple(args, "OOiOipO", &s1, &s2, &did, &w_obj,
-                          &mode, &strict, &combine))
+    int did, mode, strict, kind;
+    if (!PyArg_ParseTuple(args, "OOiOipOi", &s1, &s2, &did, &w_obj,
+                          &mode, &strict, &combine, &kind))
         return NULL;
     int w = w_from_obj(w_obj);
-    if (w == -1 && PyErr_Occurred()) return NULL;
-    return c_subst_merge(s1, s2, did, w, mode, strict, combine);
+    if ((w == -1 && PyErr_Occurred()) || check_kind(kind) < 0) return NULL;
+    return c_subst_merge(s1, s2, did, w, mode, strict, combine, kind);
 }
 
 /* -- builder entry points -- */
 
 static PyObject *py_kn_leaf(PyObject *self, PyObject *args) {
     (void)self;
-    PyObject *value = Py_None;
-    if (!PyArg_ParseTuple(args, "|O", &value)) return NULL;
+    PyObject *value;
+    int kind;
+    if (!PyArg_ParseTuple(args, "Oi", &value, &kind)) return NULL;
+    if (check_kind(kind) < 0) return NULL;
     KNode *n = knode_new();
     if (!n) return NULL;
-    if (value == Py_None) value = obj_any;   /* domain.top() */
+    if (value == Py_None) value = leaf_top(kind);   /* domain.top() */
     Py_INCREF(value);
     n->value = value;
     return (PyObject *)n;
@@ -3407,9 +3498,10 @@ static PyObject *py_kn_find(PyObject *self, PyObject *args) {
 static PyObject *py_kn_unify(PyObject *self, PyObject *args) {
     (void)self;
     PyObject *a, *b;
-    int w;
-    if (!PyArg_ParseTuple(args, "OOi", &a, &b, &w)) return NULL;
-    int r = kn_unify_raw((KNode *)a, (KNode *)b, w);
+    int w, kind;
+    if (!PyArg_ParseTuple(args, "OOii", &a, &b, &w, &kind)) return NULL;
+    if (check_kind(kind) < 0) return NULL;
+    int r = kn_unify_raw((KNode *)a, (KNode *)b, w, kind);
     if (r < 0) return NULL;
     return PyBool_FromLong(r);
 }
@@ -3417,8 +3509,12 @@ static PyObject *py_kn_unify(PyObject *self, PyObject *args) {
 static PyObject *py_kn_constrain(PyObject *self, PyObject *args) {
     (void)self;
     PyObject *node, *value;
-    int w;
-    if (!PyArg_ParseTuple(args, "OOi", &node, &value, &w)) return NULL;
+    int w, kind;
+    if (!PyArg_ParseTuple(args, "OOii", &node, &value, &w, &kind))
+        return NULL;
+    if (check_kind(kind) < 0) return NULL;
+    /* the trivial domain's only value is TOP, which constrain skips */
+    if (kind == LEAF_TRIVIAL) Py_RETURN_TRUE;
     int r = kn_constrain_raw((KNode *)node, value, w);
     if (r < 0) return NULL;
     return PyBool_FromLong(r);
@@ -3575,14 +3671,22 @@ done:
 static PyObject *py_kn_instantiate(PyObject *self, PyObject *args) {
     (void)self;
     PyObject *subst;
-    if (!PyArg_ParseTuple(args, "O", &subst)) return NULL;
+    int kind;
+    if (!PyArg_ParseTuple(args, "Oi", &subst, &kind)) return NULL;
+    if (check_kind(kind) < 0) return NULL;
+    g_subst_walks++;
     CSubst *s = get_csubst(subst);
-    if (!s) return NULL;
+    if (!s) { subst_walk_end(); return NULL; }
     PROF_BEGIN(OP_INSTANTIATE)
     PyObject *result = NULL;
     KNode **cache = (KNode **)calloc((size_t)s->nnodes + 1,
                                      sizeof(KNode *));
-    if (!cache) { PyErr_NoMemory(); PROF_END(OP_INSTANTIATE) return NULL; }
+    if (!cache) {
+        PyErr_NoMemory();
+        subst_walk_end();
+        PROF_END(OP_INSTANTIATE)
+        return NULL;
+    }
     /* iterative DFS with explicit child-cursor frames (patterns are
      * cached before their args are built, preserving sharing) */
     int ok = 1;
@@ -3598,7 +3702,7 @@ static PyObject *py_kn_instantiate(PyObject *self, PyObject *args) {
                 if (!n) { ok = 0; break; }
                 if (s->leaf[i]) {
                     PyObject *v = s->value[i];
-                    if (v == Py_None) v = obj_any;
+                    if (v == Py_None) v = leaf_top(kind);
                     Py_INCREF(v);
                     n->value = v;
                     cache[i] = n;
@@ -3644,6 +3748,7 @@ static PyObject *py_kn_instantiate(PyObject *self, PyObject *args) {
     for (int i = 0; i < s->nnodes; i++)
         Py_XDECREF((PyObject *)cache[i]);
     free(cache);
+    subst_walk_end();
     PROF_END(OP_INSTANTIATE)
     return result;
 }
@@ -3698,6 +3803,8 @@ static PyObject *py_clear_memos(PyObject *self, PyObject *args) {
     PyDict_Clear(memo_widen);
     PyDict_Clear(flat_cache);
     PyDict_Clear(freeze_cache);
+    if (g_subst_walks) g_subst_release_pending = 1;
+    else subst_map_release();
     Py_RETURN_NONE;
 }
 
@@ -3738,6 +3845,7 @@ static PyObject *py_init(PyObject *self, PyObject *args) {
     GRAB(obj_any, "any");
     GRAB(obj_bottom, "bottom");
     GRAB(cb_pat_bottom, "pat_bottom");
+    GRAB(cb_top, "trivial_top");
     #undef GRAB
     Py_RETURN_NONE;
 }

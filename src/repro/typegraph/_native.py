@@ -92,6 +92,11 @@ def _pattern_mod():
     return _PATTERN
 
 
+def _trivial_top():
+    from ..domains.leaf import TOP
+    return TOP
+
+
 def _wire(cmod) -> None:
     """Hand the C module its callbacks into the Python object layer.
     The pattern-layer callbacks are trampolines (see above); they only
@@ -111,6 +116,7 @@ def _wire(cmod) -> None:
         "any": g_any(),
         "bottom": g_bottom(),
         "pat_bottom": lambda: _pattern_mod().PAT_BOTTOM,
+        "trivial_top": _trivial_top,
     })
 
 
@@ -185,41 +191,51 @@ def g_widen(g_old, g_new, max_or_width: Optional[int], strict: bool):
 
 
 # -- pattern-layer dispatch surface ------------------------------------------
+#
+# ``kind`` is the C leaf kind the walk mirrors (``LEAF_*`` in
+# _arenakernels.c): 0 = TypeLeafDomain's grammar leaves, 1 =
+# TrivialLeafDomain's TOP-only leaves.
 
-def value_of(subst, index: int, did: int, max_or_width: Optional[int]):
-    return _CMOD.value_of(subst, index, did, max_or_width)
+def value_of(subst, index: int, did: int, max_or_width: Optional[int],
+             kind: int):
+    return _CMOD.value_of(subst, index, did, max_or_width, kind)
 
 
-def subst_le(s1, s2, did: int, max_or_width: Optional[int]) -> bool:
-    return _CMOD.subst_le(s1, s2, did, max_or_width)
+def subst_le(s1, s2, did: int, max_or_width: Optional[int],
+             kind: int) -> bool:
+    return _CMOD.subst_le(s1, s2, did, max_or_width, kind)
 
 
 def subst_merge(s1, s2, did: int, max_or_width: Optional[int],
-                mode: int, strict: bool, combine):
-    """The ``pattern._merge`` walk in C.  ``mode`` selects the leaf
-    combiner: 1 = the pure-C union (``TypeLeafDomain.join``), 2 = the
-    pure-C widening (``TypeLeafDomain.widen``, no type database), 0 =
-    call back into the Python ``combine`` for overriding domains."""
+                mode: int, strict: bool, combine, kind: int):
+    """The ``pattern._merge`` walk in C.  For the Type kind ``mode``
+    selects the leaf combiner: 1 = the pure-C union
+    (``TypeLeafDomain.join``), 2 = the pure-C widening
+    (``TypeLeafDomain.widen``, no type database), 0 = call back into
+    the Python ``combine`` for overriding domains.  The trivial kind
+    combines leaves to TOP in C whatever the mode."""
     return _CMOD.subst_merge(s1, s2, did, max_or_width, mode, strict,
-                             combine)
+                             combine, kind)
 
 
 class NativeSubstBuilder:
     """Drop-in for :class:`repro.domains.pattern.SubstBuilder` whose
-    union-find nodes and walks live in C.  Only built for
+    union-find nodes and walks live in C.  Built for the leaf domains
+    whose primitives the C tier mirrors exactly, named by ``kind``:
     :class:`~repro.domains.leaf.TypeLeafDomain` (and subclasses that
-    keep its meet/split/le primitives), whose operations the C tier
-    mirrors exactly."""
+    keep its meet/split/le primitives) and
+    :class:`~repro.domains.leaf.TrivialLeafDomain`."""
 
-    __slots__ = ("domain", "_w")
+    __slots__ = ("domain", "_w", "_kind")
 
-    def __init__(self, domain) -> None:
+    def __init__(self, domain, kind: int) -> None:
         self.domain = domain
-        width = getattr(domain, "max_or_width", None)
+        width = domain.max_or_width
         self._w = -1 if width is None else int(width)
+        self._kind = kind
 
     def fresh_leaf(self, value=None):
-        return _CMOD.kn_leaf(value)
+        return _CMOD.kn_leaf(value, self._kind)
 
     def make_pattern(self, name: str, is_int: bool, children):
         return _CMOD.kn_pattern(name, is_int, children)
@@ -229,27 +245,28 @@ class NativeSubstBuilder:
         return _CMOD.kn_find(node)
 
     def fork(self, roots) -> Tuple["NativeSubstBuilder", List]:
-        return NativeSubstBuilder(self.domain), _CMOD.kn_fork(list(roots))
+        return (NativeSubstBuilder(self.domain, self._kind),
+                _CMOD.kn_fork(list(roots)))
 
     def unify(self, a, b) -> bool:
-        return _CMOD.kn_unify(a, b, self._w)
+        return _CMOD.kn_unify(a, b, self._w, self._kind)
 
     def constrain(self, node, value) -> bool:
-        return _CMOD.kn_constrain(node, value, self._w)
+        return _CMOD.kn_constrain(node, value, self._w, self._kind)
 
     def freeze(self, roots):
         return _CMOD.kn_freeze(list(roots), self._w)
 
     def instantiate(self, subst) -> List:
-        return _CMOD.kn_instantiate(subst)
+        return _CMOD.kn_instantiate(subst, self._kind)
 
     @staticmethod
     def sv_index(subst, k: int) -> int:
         return subst.sv[k]
 
 
-def make_builder(domain) -> NativeSubstBuilder:
-    return NativeSubstBuilder(domain)
+def make_builder(domain, kind: int) -> NativeSubstBuilder:
+    return NativeSubstBuilder(domain, kind)
 
 
 # -- profiling / memo control -------------------------------------------------

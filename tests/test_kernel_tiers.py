@@ -18,17 +18,20 @@ extension) — selected by ``REPRO_ARENA_KERNEL`` or
   results do not change.
 """
 
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.domains.leaf import TypeLeafDomain
-from repro.domains.pattern import (PAT_BOTTOM, make_builder, subst_join,
-                                   subst_le, subst_widen)
+from repro.domains import pattern
+from repro.domains.leaf import TOP, TrivialLeafDomain, TypeLeafDomain
+from repro.domains.pattern import (PAT_BOTTOM, SubstBuilder, make_builder,
+                                   subst_join, subst_le, subst_widen)
 from repro.typegraph import (FuncAlt, Grammar, arena, g_any, g_atom,
                              g_bottom, g_functor, g_int, g_int_literal,
                              g_intersect, g_list_of, g_union, g_widen,
@@ -163,8 +166,11 @@ def test_compile_decompile_round_trip_per_tier(g):
 
 
 # -- pattern layer: same interned substitutions on every tier ----------------
+#
+# Each script runs under both leaf domains with a native builder: Type
+# (grammar leaves) and the principal-functor baseline (TOP leaves).
 
-_LEAF_VALUES = [g_any(), g_atom("a"), g_atom("b"), g_int(),
+_TYPE_VALUES = [g_any(), g_atom("a"), g_atom("b"), g_int(),
                 g_list_of(g_any()), g_union(g_atom("a"), g_atom("b"))]
 
 _goals = st.lists(
@@ -175,16 +181,24 @@ _goals = st.lists(
                   st.sampled_from(["f", "g", ".", "s"]),
                   st.lists(st.integers(0, 3), min_size=1, max_size=2)),
         st.tuples(st.just("constrain"), st.integers(0, 3),
-                  st.sampled_from(range(len(_LEAF_VALUES)))),
+                  st.sampled_from(range(len(_TYPE_VALUES)))),
     ),
     max_size=6)
 
 _DOMAIN = TypeLeafDomain()
+_TRIVIAL = TrivialLeafDomain()
+_DOMAINS = (_DOMAIN, _TRIVIAL)
 
 
-def _build_subst(goals):
+def _leaf_value(domain, index):
+    """The ``index``-th constrain value of ``domain``: a grammar for
+    Type, the only value TOP for the baseline."""
+    return _TYPE_VALUES[index] if domain is _DOMAIN else TOP
+
+
+def _build_subst(goals, domain=_DOMAIN):
     """Run a goal script on the *active tier's* builder."""
-    builder = make_builder(_DOMAIN)
+    builder = make_builder(domain)
     nodes = [builder.fresh_leaf() for _ in range(4)]
     for goal in goals:
         if goal[0] == "unify":
@@ -200,7 +214,7 @@ def _build_subst(goals):
         else:
             _, v, value_index = goal
             if not builder.constrain(nodes[v],
-                                     _LEAF_VALUES[value_index]):
+                                     _leaf_value(domain, value_index)):
                 return PAT_BOTTOM
     frozen = builder.freeze(nodes)
     return frozen
@@ -209,20 +223,45 @@ def _build_subst(goals):
 @settings(max_examples=50, deadline=None)
 @given(_goals)
 def test_builder_freeze_same_interned_across_tiers(goals):
-    assert_identical(per_tier(lambda: _build_subst(goals)))
+    for domain in _DOMAINS:
+        assert_identical(per_tier(lambda: _build_subst(goals, domain)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_goals, _goals)
 def test_subst_ops_same_across_tiers(goals1, goals2):
-    s1 = assert_identical(per_tier(lambda: _build_subst(goals1)))
-    s2 = assert_identical(per_tier(lambda: _build_subst(goals2)))
-    if s1 is PAT_BOTTOM or s2 is PAT_BOTTOM:
-        return
-    assert_identical(per_tier(lambda: subst_join(s1, s2, _DOMAIN)))
-    assert_identical(per_tier(lambda: subst_widen(s1, s2, _DOMAIN)))
-    le = per_tier(lambda: subst_le(s1, s2, _DOMAIN))
-    assert len(set(le.values())) == 1, le
+    for domain in _DOMAINS:
+        s1 = assert_identical(per_tier(lambda: _build_subst(goals1, domain)))
+        s2 = assert_identical(per_tier(lambda: _build_subst(goals2, domain)))
+        if s1 is PAT_BOTTOM or s2 is PAT_BOTTOM:
+            continue
+        assert_identical(per_tier(lambda: subst_join(s1, s2, domain)))
+        assert_identical(per_tier(lambda: subst_widen(s1, s2, domain)))
+        for a, b in ((s1, s2), (s2, s1)):
+            le = per_tier(lambda: subst_le(a, b, domain))
+            assert len(set(le.values())) == 1, le
+        for index in range(len(s1.nodes)):
+            assert_identical(per_tier(
+                lambda: pattern.value_of(s1, index, domain)))
+        # instantiate + refreeze reproduces the substitution
+        assert_identical(per_tier(lambda: _refreeze(s1, domain))) is s1
+
+
+def _refreeze(subst, domain):
+    builder = make_builder(domain)
+    snapshot, roots = builder.fork(builder.instantiate(subst))
+    return snapshot.freeze(roots)
+
+
+def test_baseline_domain_gets_native_builder():
+    if "native" not in TIERS:
+        pytest.skip("native tier unavailable here")
+    from repro.typegraph import _native
+    arena.configure(kernel="native")
+    for domain in (TrivialLeafDomain(), TypeLeafDomain()):
+        assert isinstance(make_builder(domain), _native.NativeSubstBuilder)
+    arena.configure(kernel="python")
+    assert isinstance(make_builder(TrivialLeafDomain()), SubstBuilder)
 
 
 # -- pickling across a tier switch -------------------------------------------
@@ -243,13 +282,86 @@ def test_pickle_reinterns_identically_after_tier_switch(g1, g2, w):
 
 def test_analysis_fingerprint_identical_across_tiers():
     from repro import analyze
-    from repro.benchprogs import benchmark
+    from repro.benchprogs import BENCHMARKS, benchmark
     from repro.service.serialize import result_fingerprint
 
     bp = benchmark("QU")
     prints = per_tier(lambda: result_fingerprint(
         analyze(bp.source, bp.query, input_types=bp.input_types).result))
     assert len(set(prints.values())) == 1, prints
+    # the principal-functor baseline on every benchprog
+    for name in sorted(BENCHMARKS):
+        bp = benchmark(name)
+        prints = per_tier(lambda: result_fingerprint(
+            analyze(bp.source, bp.query, input_types=bp.input_types,
+                    baseline=True).result))
+        assert len(set(prints.values())) == 1, (name, prints)
+
+
+# -- nothing outlives opcache.clear() ----------------------------------------
+
+def test_clear_releases_every_substitution_on_every_tier():
+    """After an analysis is dropped, ``opcache.clear()`` plus a
+    collection frees every substitution it interned, on every tier
+    (the native tier's per-substitution structs included)."""
+    from repro import analyze
+    from repro.benchprogs import benchmark
+
+    bp = benchmark("QU")
+    for tier in TIERS:
+        arena.configure(kernel=tier)
+        opcache.configure(enabled=True)
+        first_sid = pattern._NEXT_SID
+        for baseline in (False, True):
+            analyze(bp.source, bp.query, input_types=bp.input_types,
+                    baseline=baseline)
+        opcache.clear()
+        gc.collect()
+        survivors = [s for s in pattern._SUBST_INTERN.values()
+                     if s.sid >= first_sid]
+        assert survivors == [], (tier, survivors)
+
+
+def test_clear_during_a_native_walk_waits_for_the_walk():
+    """A leaf join called back from the C merge walk may clear the
+    memos; the substitution structs the walk is reading stay valid
+    until it ends, and the result is unchanged."""
+    if "native" not in TIERS:
+        pytest.skip("native tier unavailable here")
+    arena.configure(kernel="native")
+
+    class ClearingJoin(TypeLeafDomain):
+        def join(self, a, b):
+            opcache.clear()
+            return TypeLeafDomain.join(self, a, b)
+
+    goals1 = [("build", 0, "f", [1, 2]), ("constrain", 1, 1),
+              ("constrain", 2, 3), ("constrain", 3, 4)]
+    goals2 = [("build", 0, "f", [2, 1]), ("constrain", 1, 2),
+              ("constrain", 3, 5)]
+    s1, s2 = _build_subst(goals1), _build_subst(goals2)
+    expected = subst_join(s1, s2, _DOMAIN)
+    for _ in range(20):
+        assert subst_join(s1, s2, ClearingJoin()) is expected
+        assert subst_le(s1, expected, _DOMAIN)
+
+
+def test_finished_baseline_analysis_releases_its_domain():
+    """The per-substitution collapse memo keys on the domain's id, so
+    substitutions the op caches keep do not keep the domain alive."""
+    from repro import analyze
+    from repro.benchprogs import benchmark
+
+    bp = benchmark("KA")
+    for tier in TIERS:
+        arena.configure(kernel=tier)
+        opcache.configure(enabled=True)
+        result = analyze(bp.source, bp.query, input_types=bp.input_types,
+                         baseline=True)
+        domain = weakref.ref(result.domain)
+        del result
+        gc.collect()
+        assert domain() is None, tier
 
 
 # -- tier selection / status --------------------------------------------------
