@@ -13,13 +13,15 @@ principal-functor comparison analysis of §9.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..domains.leaf import LeafDomain, TrivialLeafDomain, TypeLeafDomain
 from ..domains.pattern import (AbstractSubst, PAT_BOTTOM, SubstBuilder,
-                               display_subst, make_builder, value_of)
+                               display_subst, make_builder, runs_in_c,
+                               value_of)
 from ..fixpoint.engine import AnalysisConfig, AnalysisResult, Engine
 from ..prolog.normalize import NormProgram, normalize_program
 from ..prolog.program import PredId, Program, parse_program
@@ -166,9 +168,16 @@ def analyze(source: Union[str, Program], query: PredId,
     ``seeds``: known-valid (pred, β_in, β_out) tuples pre-loaded into
     the engine table (incremental re-analysis); seeds for predicates
     the program does not define are skipped.
+
+    When the native tier runs the whole domain in C
+    (:func:`~repro.domains.pattern.runs_in_c`), the cyclic garbage
+    collector is paused for the analysis, if it was on: such an
+    analysis leaves no cyclic garbage, and a full collection of a
+    long-lived process's interned substitutions, grammars and memos
+    costs much and frees nothing.  The python and numpy tiers and the
+    Python join/widen callbacks build cyclic graphs (union-find nodes,
+    vertex graphs), so they keep collecting.
     """
-    program = parse_program(source) if isinstance(source, str) else source
-    norm = normalize_program(program)
     if config is None:
         config = AnalysisConfig()
     if domain is None:
@@ -177,6 +186,20 @@ def analyze(source: Union[str, Program], query: PredId,
         else:
             domain = TypeLeafDomain(config.max_or_width,
                                     config.type_database)
+    paused = gc.isenabled() and runs_in_c(domain)
+    if paused:
+        gc.disable()
+    try:
+        return _analyze(source, query, input_types, config, domain, seeds)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def _analyze(source, query, input_types, config, domain,
+             seeds) -> TypeAnalysis:
+    program = parse_program(source) if isinstance(source, str) else source
+    norm = normalize_program(program)
     engine = Engine(norm, domain, config)
     if seeds:
         for seed_pred, seed_in, seed_out in seeds:

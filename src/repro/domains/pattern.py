@@ -68,6 +68,31 @@ def _native_for(domain: LeafDomain):
     return None
 
 
+def _c_join(domain: LeafDomain) -> bool:
+    """The native merge may join Type leaves in C (mode 1)."""
+    return type(domain).join is TypeLeafDomain.join
+
+
+def _c_widen(domain: LeafDomain) -> bool:
+    """The native merge may widen Type leaves in C (mode 2): the type
+    database extension grafts arbitrary Python grammars."""
+    return (type(domain).widen is TypeLeafDomain.widen
+            and domain.type_database is None)
+
+
+def runs_in_c(domain: LeafDomain) -> bool:
+    """True when the native tier runs all of ``domain``'s pattern and
+    leaf work: the builder and walks (:func:`_native_for`) and the
+    leaf join and widen.  A Python join or widen callback (depth-``k``
+    bounding, the type database extension) builds vertex graphs, which
+    are cyclic."""
+    gate = _native_for(domain)
+    if gate is None:
+        return False
+    return gate[1] == _LEAF_TRIVIAL or (_c_join(domain)
+                                         and _c_widen(domain))
+
+
 class PatNode:
     """One subterm.  ``args is None`` means leaf (then ``value`` holds
     the R-value); otherwise the node has pattern ``name(args...)``.
@@ -598,7 +623,7 @@ def _merge_join(s1: AbstractSubst, s2: AbstractSubst,
         gate = _native_for(domain)
         if gate is not None:
             native, kind = gate
-            mode = 1 if type(domain).join is TypeLeafDomain.join else 0
+            mode = 1 if _c_join(domain) else 0
             return native.subst_merge(s1, s2, domain.did,
                                       domain.max_or_width, mode, True,
                                       domain.join, kind)
@@ -608,14 +633,12 @@ def _merge_join(s1: AbstractSubst, s2: AbstractSubst,
 def _merge_widen(old: AbstractSubst, new: AbstractSubst,
                  domain: LeafDomain, strict: bool) -> AbstractSubst:
     """``_merge`` with the leaf widening; pure-C (mode 2) only when the
-    domain keeps ``TypeLeafDomain.widen`` and has no type database —
-    the database extension grafts arbitrary Python grammars."""
+    domain keeps ``TypeLeafDomain.widen`` and has no type database."""
     if old.interned and new.interned:
         gate = _native_for(domain)
         if gate is not None:
             native, kind = gate
-            mode = (2 if type(domain).widen is TypeLeafDomain.widen
-                    and domain.type_database is None else 0)
+            mode = 2 if _c_widen(domain) else 0
             return native.subst_merge(
                 old, new, domain.did, domain.max_or_width, mode, strict,
                 lambda a, b: domain.widen(a, b, strict), kind)

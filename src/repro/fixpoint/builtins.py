@@ -128,15 +128,16 @@ def is_builtin(pred: PredId) -> bool:
     return pred in BUILTINS
 
 
-_TAG_CACHE: Dict[Tuple[int, str], Grammar] = {}
+#: Tag -> grammar: the grammars are the same for every Type domain
+#: instance, so the memo stays one entry per tag for the process.
+_TAG_CACHE: Dict[str, Grammar] = {}
 
 
 def tag_value(domain: LeafDomain, tag: str):
     """The leaf-domain value a tag constrains an argument with."""
     if not isinstance(domain, TypeLeafDomain) or tag == "any":
         return domain.top()
-    key = (id(domain), tag)
-    if key not in _TAG_CACHE:
+    if tag not in _TAG_CACHE:
         if tag == "int":
             value = g_int()
         elif tag == "list":
@@ -147,5 +148,5 @@ def tag_value(domain: LeafDomain, tag: str):
             value = g_union(g_union(g_atom("<"), g_atom("=")), g_atom(">"))
         else:
             raise ValueError("unknown builtin tag: %s" % tag)
-        _TAG_CACHE[key] = value
-    return _TAG_CACHE[key]
+        _TAG_CACHE[tag] = value
+    return _TAG_CACHE[tag]

@@ -21,12 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Optional, Sequence, Union
 
 from ..assertions.checker import CheckReport
 from ..assertions.slicer import BlameSlice
 from ..assertions.frontend import Assertion
-from ..domains.leaf import LeafDomain, domain_from_descriptor
+from ..domains.leaf import (LeafDomain, TrivialLeafDomain, TypeLeafDomain,
+                            domain_from_descriptor)
 from ..domains.pattern import PAT_BOTTOM, AbstractSubst, PatNode
 from ..fixpoint.engine import (AnalysisConfig, AnalysisResult,
                                AnalysisStats, Entry)
@@ -77,25 +79,29 @@ def content_hash(obj) -> str:
 
 # -- grammars ----------------------------------------------------------------
 
-#: Per-instance content-hash memo for interned grammars: interning
-#: makes structurally equal grammars one shared object, so the hash of
-#: its canonical encoding is computed once per process instead of once
-#: per cache-key/batch-job that mentions it.  Weak keys, so the memo
-#: never outlives the intern table.
-_GRAMMAR_HASH_MEMO: "weakref.WeakKeyDictionary[Grammar, str]" = \
+#: Canonical JSON text of interned grammars and interned substitutions
+#: (interning makes them immutable shared objects), filled on first
+#: use.  Fingerprints and content hashes join these strings instead of
+#: re-encoding the same grammars per entry, per job.  Weak keys, so the
+#: memo never outlives the intern tables.
+_TEXT_MEMO: "weakref.WeakKeyDictionary[object, str]" = \
     weakref.WeakKeyDictionary()
 
 
-def grammar_content_hash(grammar: Grammar) -> str:
-    """``content_hash(encode_grammar(grammar))``, memoized on interned
-    instances (their encodings are immutable)."""
+def _grammar_text(grammar: Grammar) -> str:
+    """``canonical_json(grammar.to_obj())``, memoized when interned."""
     if not grammar.interned:
-        return content_hash(grammar.to_obj())
-    digest = _GRAMMAR_HASH_MEMO.get(grammar)
-    if digest is None:
-        digest = content_hash(grammar.to_obj())
-        _GRAMMAR_HASH_MEMO[grammar] = digest
-    return digest
+        return canonical_json(grammar.to_obj())
+    text = _TEXT_MEMO.get(grammar)
+    if text is None:
+        text = _TEXT_MEMO[grammar] = canonical_json(grammar.to_obj())
+    return text
+
+
+def grammar_content_hash(grammar: Grammar) -> str:
+    """``content_hash(encode_grammar(grammar))``."""
+    digest = hashlib.sha256(_grammar_text(grammar).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def encode_grammar(grammar: Grammar) -> dict:
@@ -123,6 +129,51 @@ def encode_subst(subst, domain: LeafDomain):
         else:
             nodes.append(["f", node.name, list(node.args)])
     return {"nvars": subst.nvars, "sv": list(subst.sv), "nodes": nodes}
+
+
+def _name_text(name) -> str:
+    """``canonical_json`` of a node name or predicate name."""
+    if type(name) is str:
+        return _json_str(name)
+    return canonical_json(name)
+
+
+def _top_text(value) -> str:
+    return '"top"'
+
+
+def _subst_text(subst, domain: LeafDomain) -> str:
+    """``canonical_json(encode_subst(subst, domain))``, memoized on
+    interned substitutions of the Type and trivial leaf domains.  The
+    memo holds one text per substitution, so it relies on a
+    substitution with leaves belonging to one domain kind: grammar
+    leaves to Type domains, TOP leaves to the trivial one."""
+    if subst is PAT_BOTTOM:
+        return '"bottom"'
+    encode_leaf = type(domain).encode_leaf
+    if encode_leaf is TypeLeafDomain.encode_leaf:
+        leaf_text = _grammar_text
+    elif encode_leaf is TrivialLeafDomain.encode_leaf:
+        leaf_text = _top_text
+    else:
+        return canonical_json(encode_subst(subst, domain))
+    text = _TEXT_MEMO.get(subst) if subst.interned else None
+    if text is not None:
+        return text
+    nodes = []
+    for node in subst.nodes:
+        if node.args is None:
+            nodes.append('["l",%s]' % leaf_text(node.value))
+        elif node.is_int:
+            nodes.append('["i",%s]' % _name_text(node.name))
+        else:
+            nodes.append('["f",%s,[%s]]' % (
+                _name_text(node.name), ",".join(map(str, node.args))))
+    text = '{"nodes":[%s],"nvars":%d,"sv":[%s]}' % (
+        ",".join(nodes), subst.nvars, ",".join(map(str, subst.sv)))
+    if subst.interned:
+        _TEXT_MEMO[subst] = text
+    return text
 
 
 def decode_subst(data, domain: LeafDomain):
@@ -220,6 +271,15 @@ def encode_result(result: AnalysisResult) -> dict:
     }
 
 
+def _entry_text(entry: Entry, domain: LeafDomain) -> str:
+    """Canonical JSON of an entry's (pred, β_in, β_out, seeded)."""
+    return '{"beta_in":%s,"beta_out":%s,"pred":[%s,%d],"seeded":%s}' % (
+        _subst_text(entry.beta_in, domain),
+        _subst_text(entry.beta_out, domain),
+        _name_text(entry.pred[0]), entry.pred[1],
+        "true" if entry.seeded else "false")
+
+
 def result_fingerprint(result: AnalysisResult) -> str:
     """Content hash of the *semantic* table: the multiset of
     (predicate, β_in, β_out, seeded) tuples, the root tuple by value,
@@ -230,25 +290,20 @@ def result_fingerprint(result: AnalysisResult) -> str:
     discovery order (operation caches on/off, differential
     re-evaluation on/off, a future worklist tweak) fingerprint
     identically, which is what the benchmark trajectory and the
-    equivalence property tests compare."""
+    equivalence property tests compare.
+
+    Hashes the same canonical JSON text as :func:`payload_fingerprint`
+    (``{"domain", "entries" sorted by their canonical JSON, "root",
+    "unknown_predicates"}``), assembled from the memoized texts of the
+    interned substitutions."""
     domain = result.domain
-
-    def tuple_of(entry: Entry) -> dict:
-        return {
-            "pred": list(entry.pred),
-            "beta_in": encode_subst(entry.beta_in, domain),
-            "beta_out": encode_subst(entry.beta_out, domain),
-            "seeded": entry.seeded,
-        }
-
-    return content_hash({
-        "domain": domain.descriptor(),
-        "root": tuple_of(result.root_entry),
-        "entries": sorted((tuple_of(e) for e in result.entries),
-                          key=canonical_json),
-        "unknown_predicates": [list(p)
-                               for p in result.unknown_predicates],
-    })
+    texts = sorted(_entry_text(e, domain) for e in result.entries)
+    text = '{"domain":%s,"entries":[%s],"root":%s,' \
+        '"unknown_predicates":%s}' % (
+            canonical_json(domain.descriptor()), ",".join(texts),
+            _entry_text(result.root_entry, domain),
+            canonical_json([list(p) for p in result.unknown_predicates]))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def payload_fingerprint(payload: dict) -> str:

@@ -2524,26 +2524,34 @@ static void csubst_free(CSubst *s) {
     free(s);
 }
 
-/* Each CSubst holds its AbstractSubst strongly, so the map pins every
- * substitution the tier has seen until clear_memos releases it.  A
- * walk holding CSubst pointers can call back into Python, so a release
- * asked for during one waits until the last walk ends. */
-static int g_subst_walks = 0;
-static int g_subst_release_pending = 0;
+/* Each CSubst holds its AbstractSubst strongly, and each CArena its
+ * Grammar, so the two maps pin every substitution and grammar the tier
+ * has seen until clear_memos releases them.  A walk or grammar kernel
+ * holding CSubst or CArena pointers can call back into Python, so a
+ * release asked for during one waits until the last one ends. */
+static int g_walks = 0;
+static int g_release_pending = 0;
 
-static void subst_map_release(void) {
-    IMap m = g_subst_map;            /* detached first: freeing runs */
-    memset(&g_subst_map, 0, sizeof g_subst_map);   /* Python code */
-    g_subst_release_pending = 0;
-    for (size_t i = 0; i < m.cap; i++)
-        if (m.keys[i] != IMAP_EMPTY)
-            csubst_free((CSubst *)(intptr_t)m.vals[i]);
-    imap_free(&m);
+static void maps_release(void) {
+    /* detached first: freeing runs Python code */
+    IMap subst = g_subst_map;
+    IMap arena = g_arena_map;
+    memset(&g_subst_map, 0, sizeof g_subst_map);
+    memset(&g_arena_map, 0, sizeof g_arena_map);
+    g_release_pending = 0;
+    for (size_t i = 0; i < subst.cap; i++)
+        if (subst.keys[i] != IMAP_EMPTY)
+            csubst_free((CSubst *)(intptr_t)subst.vals[i]);
+    imap_free(&subst);
+    for (size_t i = 0; i < arena.cap; i++)
+        if (arena.keys[i] != IMAP_EMPTY)
+            carena_free((CArena *)(intptr_t)arena.vals[i]);
+    imap_free(&arena);
 }
 
-static void subst_walk_end(void) {
-    if (--g_subst_walks == 0 && g_subst_release_pending)
-        subst_map_release();
+static void walk_end(void) {
+    if (--g_walks == 0 && g_release_pending)
+        maps_release();
 }
 
 static long get_sid(PyObject *s) {
@@ -2758,7 +2766,7 @@ static int c_subst_le(PyObject *subst1, PyObject *subst2, int did, int w,
                       int kind) {
     PROF_BEGIN(OP_SUBST_LE)
     int res = -1;
-    g_subst_walks++;
+    g_walks++;
     CSubst *s1 = get_csubst(subst1);
     CSubst *s2 = s1 ? get_csubst(subst2) : NULL;
     int *ref2 = NULL, *map21 = NULL;
@@ -2778,7 +2786,7 @@ static int c_subst_le(PyObject *subst1, PyObject *subst2, int did, int w,
                         did, w, kind);
 done:
     free(ref2); free(map21);
-    subst_walk_end();
+    walk_end();
     PROF_END(OP_SUBST_LE)
     return res;
 }
@@ -2896,7 +2904,7 @@ static PyObject *c_subst_merge(PyObject *subst1, PyObject *subst2,
     PROF_BEGIN(OP_MERGE)
     PyObject *res = NULL, *sv = NULL;
     MergeCtx m; memset(&m, 0, sizeof m);
-    g_subst_walks++;
+    g_walks++;
     m.s1 = get_csubst(subst1);
     m.s2 = m.s1 ? get_csubst(subst2) : NULL;
     if (!m.s2) goto done;
@@ -2919,7 +2927,7 @@ done:
     Py_XDECREF(sv);
     Py_XDECREF(m.descs);
     imap_free(&m.memo);
-    subst_walk_end();
+    walk_end();
     PROF_END(OP_MERGE)
     return res;
 }
@@ -3338,7 +3346,9 @@ static PyObject *py_arena_le(PyObject *self, PyObject *args) {
     (void)self;
     PyObject *g1, *g2;
     if (!PyArg_ParseTuple(args, "OO", &g1, &g2)) return NULL;
+    g_walks++;
     int r = c_g_le(g1, g2);
+    walk_end();
     if (r < 0) return NULL;
     return PyBool_FromLong(r);
 }
@@ -3349,7 +3359,10 @@ static PyObject *py_arena_union(PyObject *self, PyObject *args) {
     if (!PyArg_ParseTuple(args, "OOO", &g1, &g2, &w_obj)) return NULL;
     int w = w_from_obj(w_obj);
     if (w == -1 && PyErr_Occurred()) return NULL;
-    return c_g_union(g1, g2, w);
+    g_walks++;
+    PyObject *res = c_g_union(g1, g2, w);
+    walk_end();
+    return res;
 }
 
 static PyObject *py_arena_intersect(PyObject *self, PyObject *args) {
@@ -3358,7 +3371,10 @@ static PyObject *py_arena_intersect(PyObject *self, PyObject *args) {
     if (!PyArg_ParseTuple(args, "OOO", &g1, &g2, &w_obj)) return NULL;
     int w = w_from_obj(w_obj);
     if (w == -1 && PyErr_Occurred()) return NULL;
-    return c_g_intersect(g1, g2, w);
+    g_walks++;
+    PyObject *res = c_g_intersect(g1, g2, w);
+    walk_end();
+    return res;
 }
 
 static PyObject *py_arena_functor(PyObject *self, PyObject *args) {
@@ -3370,7 +3386,9 @@ static PyObject *py_arena_functor(PyObject *self, PyObject *args) {
     if (w == -1 && PyErr_Occurred()) return NULL;
     PyObject *tup = PySequence_Tuple(children);
     if (!tup) return NULL;
+    g_walks++;
     PyObject *res = c_g_functor(name, tup, w);
+    walk_end();
     Py_DECREF(tup);
     return res;
 }
@@ -3380,7 +3398,10 @@ static PyObject *py_subgrammar(PyObject *self, PyObject *args) {
     PyObject *g;
     int idx;
     if (!PyArg_ParseTuple(args, "Oi", &g, &idx)) return NULL;
-    return c_subgrammar(g, idx);
+    g_walks++;
+    PyObject *res = c_subgrammar(g, idx);
+    walk_end();
+    return res;
 }
 
 static PyObject *py_g_split(PyObject *self, PyObject *args) {
@@ -3389,7 +3410,10 @@ static PyObject *py_g_split(PyObject *self, PyObject *args) {
     int arity, is_int;
     if (!PyArg_ParseTuple(args, "OOip", &g, &name, &arity, &is_int))
         return NULL;
-    return c_g_split(g, name, arity, is_int);
+    g_walks++;
+    PyObject *res = c_g_split(g, name, arity, is_int);
+    walk_end();
+    return res;
 }
 
 static PyObject *py_value_of(PyObject *self, PyObject *args) {
@@ -3401,7 +3425,7 @@ static PyObject *py_value_of(PyObject *self, PyObject *args) {
         return NULL;
     int w = w_from_obj(w_obj);
     if ((w == -1 && PyErr_Occurred()) || check_kind(kind) < 0) return NULL;
-    g_subst_walks++;
+    g_walks++;
     CSubst *s = get_csubst(subst);
     PyObject *res = NULL;
     if (s) {
@@ -3409,7 +3433,7 @@ static PyObject *py_value_of(PyObject *self, PyObject *args) {
         res = value_of_c(s, index, did, w, kind);
         PROF_END(OP_VALUE_OF)
     }
-    subst_walk_end();
+    walk_end();
     return res;
 }
 
@@ -3434,7 +3458,10 @@ static PyObject *py_g_widen(PyObject *self, PyObject *args) {
         return NULL;
     int w = w_from_obj(w_obj);
     if (w == -1 && PyErr_Occurred()) return NULL;
-    return c_g_widen(g_old, g_new, w, strict);
+    g_walks++;
+    PyObject *res = c_g_widen(g_old, g_new, w, strict);
+    walk_end();
+    return res;
 }
 
 static PyObject *py_subst_merge(PyObject *self, PyObject *args) {
@@ -3501,7 +3528,9 @@ static PyObject *py_kn_unify(PyObject *self, PyObject *args) {
     int w, kind;
     if (!PyArg_ParseTuple(args, "OOii", &a, &b, &w, &kind)) return NULL;
     if (check_kind(kind) < 0) return NULL;
+    g_walks++;
     int r = kn_unify_raw((KNode *)a, (KNode *)b, w, kind);
+    walk_end();
     if (r < 0) return NULL;
     return PyBool_FromLong(r);
 }
@@ -3515,7 +3544,9 @@ static PyObject *py_kn_constrain(PyObject *self, PyObject *args) {
     if (check_kind(kind) < 0) return NULL;
     /* the trivial domain's only value is TOP, which constrain skips */
     if (kind == LEAF_TRIVIAL) Py_RETURN_TRUE;
+    g_walks++;
     int r = kn_constrain_raw((KNode *)node, value, w);
+    walk_end();
     if (r < 0) return NULL;
     return PyBool_FromLong(r);
 }
@@ -3674,16 +3705,16 @@ static PyObject *py_kn_instantiate(PyObject *self, PyObject *args) {
     int kind;
     if (!PyArg_ParseTuple(args, "Oi", &subst, &kind)) return NULL;
     if (check_kind(kind) < 0) return NULL;
-    g_subst_walks++;
+    g_walks++;
     CSubst *s = get_csubst(subst);
-    if (!s) { subst_walk_end(); return NULL; }
+    if (!s) { walk_end(); return NULL; }
     PROF_BEGIN(OP_INSTANTIATE)
     PyObject *result = NULL;
     KNode **cache = (KNode **)calloc((size_t)s->nnodes + 1,
                                      sizeof(KNode *));
     if (!cache) {
         PyErr_NoMemory();
-        subst_walk_end();
+        walk_end();
         PROF_END(OP_INSTANTIATE)
         return NULL;
     }
@@ -3748,7 +3779,7 @@ static PyObject *py_kn_instantiate(PyObject *self, PyObject *args) {
     for (int i = 0; i < s->nnodes; i++)
         Py_XDECREF((PyObject *)cache[i]);
     free(cache);
-    subst_walk_end();
+    walk_end();
     PROF_END(OP_INSTANTIATE)
     return result;
 }
@@ -3803,8 +3834,8 @@ static PyObject *py_clear_memos(PyObject *self, PyObject *args) {
     PyDict_Clear(memo_widen);
     PyDict_Clear(flat_cache);
     PyDict_Clear(freeze_cache);
-    if (g_subst_walks) g_subst_release_pending = 1;
-    else subst_map_release();
+    if (g_walks) g_release_pending = 1;
+    else maps_release();
     Py_RETURN_NONE;
 }
 

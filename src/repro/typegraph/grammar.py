@@ -610,23 +610,26 @@ def g_int_literal(value: int) -> Grammar:
 
 def _embed(builder: GrammarBuilder, grammar: Grammar) -> int:
     """Copy ``grammar`` into ``builder``; return its root nt."""
-    mapping: Dict[int, int] = {}
+    return _embed_nt(builder, grammar, {}, grammar.root)
 
-    def visit(nt: int) -> int:
-        if nt in mapping:
-            return mapping[nt]
-        new = builder.fresh()
-        mapping[nt] = new
-        for alt in grammar.rules[nt]:
-            if isinstance(alt, FuncAlt):
-                builder.add(new, FuncAlt(alt.name,
-                                         tuple(visit(a) for a in alt.args),
-                                         alt.is_int))
-            else:
-                builder.add(new, alt)
-        return new
 
-    return visit(grammar.root)
+def _embed_nt(builder: GrammarBuilder, grammar: Grammar,
+              mapping: Dict[int, int], nt: int) -> int:
+    # A module-level function, not a closure over itself: a
+    # self-recursive nested function is a reference cycle that only the
+    # cyclic collector can free.
+    if nt in mapping:
+        return mapping[nt]
+    new = builder.fresh()
+    mapping[nt] = new
+    for alt in grammar.rules[nt]:
+        if isinstance(alt, FuncAlt):
+            args = tuple(_embed_nt(builder, grammar, mapping, a)
+                         for a in alt.args)
+            builder.add(new, FuncAlt(alt.name, args, alt.is_int))
+        else:
+            builder.add(new, alt)
+    return new
 
 
 def g_functor(name: str, children: Sequence[Grammar],

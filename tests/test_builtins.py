@@ -46,6 +46,17 @@ class TestTagValues:
         assert tag_value(domain, "int") is TOP
         assert tag_value(domain, "list") is TOP
 
+    def test_values_shared_across_domain_instances(self):
+        """One memo entry per tag, whatever the number of domains: the
+        memo neither grows per analysis nor depends on addresses."""
+        from repro.fixpoint import builtins
+        domains = [TypeLeafDomain(w) for w in (None, 2, 5)]
+        for tag in ("int", "list", "codes", "ordering"):
+            values = {id(tag_value(d, tag)) for d in domains}
+            assert len(values) == 1, tag
+        assert set(builtins._TAG_CACHE) <= {"int", "list", "codes",
+                                            "ordering"}
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             tag_value(TypeLeafDomain(), "nonsense")

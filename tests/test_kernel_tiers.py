@@ -28,6 +28,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import AnalysisConfig
 from repro.domains import pattern
 from repro.domains.leaf import TOP, TrivialLeafDomain, TypeLeafDomain
 from repro.domains.pattern import (PAT_BOTTOM, SubstBuilder, make_builder,
@@ -322,6 +323,30 @@ def test_clear_releases_every_substitution_on_every_tier():
         assert survivors == [], (tier, survivors)
 
 
+def test_clear_releases_every_grammar_on_every_tier():
+    """The same for grammars: only the module's atom and integer
+    literal memos keep any of an analysis's grammars (the native tier's
+    per-grammar arena structs included)."""
+    from repro import analyze
+    from repro.benchprogs import benchmark
+    from repro.typegraph import grammar
+
+    bp = benchmark("PG")
+    for tier in TIERS:
+        arena.configure(kernel=tier)
+        opcache.configure(enabled=True)
+        first_gid = grammar._NEXT_GID
+        analyze(bp.source, bp.query, input_types=bp.input_types)
+        opcache.clear()
+        gc.collect()
+        kept = {id(g) for memo in (grammar._ATOM_CACHE,
+                                   grammar._INT_LITERAL_CACHE)
+                for g in memo.values()}
+        survivors = [g for g in grammar._INTERN.values()
+                     if g.gid >= first_gid and id(g) not in kept]
+        assert survivors == [], (tier, survivors)
+
+
 def test_clear_during_a_native_walk_waits_for_the_walk():
     """A leaf join called back from the C merge walk may clear the
     memos; the substitution structs the walk is reading stay valid
@@ -362,6 +387,142 @@ def test_finished_baseline_analysis_releases_its_domain():
         del result
         gc.collect()
         assert domain() is None, tier
+
+
+# -- the collector pause ------------------------------------------------------
+
+_PAUSE_CONFIGS = {
+    "full": {},
+    "or5": {"config": AnalysisConfig(max_or_width=5)},
+    "or2": {"config": AnalysisConfig(max_or_width=2)},
+    "baseline": {"baseline": True},
+}
+
+
+@pytest.fixture
+def gc_during_analysis(monkeypatch):
+    """``gc.isenabled()`` as seen inside each ``Engine.analyze`` call."""
+    from repro.fixpoint.engine import Engine
+
+    seen = []
+    original = Engine.analyze
+
+    def analyze(self, *args, **kwargs):
+        seen.append(gc.isenabled())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "analyze", analyze)
+    return seen
+
+
+def test_analyze_restores_the_collector(gc_during_analysis):
+    from repro import analyze
+    from repro.fixpoint.engine import AnalysisBudgetExceeded
+
+    if "native" not in TIERS:
+        pytest.skip("native tier unavailable here")
+    arena.configure(kernel="native")
+    source = "app([], X, X).\napp([F|T], S, [F|R]) :- app(T, S, R).\n"
+    assert gc.isenabled()
+    analyze(source, ("app", 3))
+    assert gc.isenabled()
+    with pytest.raises(KeyError):
+        analyze(source, ("nope", 1))
+    assert gc.isenabled()
+    with pytest.raises(AnalysisBudgetExceeded):
+        analyze(source, ("app", 3),
+                config=AnalysisConfig(max_procedure_iterations=1))
+    assert gc.isenabled()
+    assert gc_during_analysis == [False, False, False]
+
+
+def test_analyze_leaves_a_disabled_collector_disabled(gc_during_analysis):
+    from repro import analyze
+
+    source = "p(a).\np(f(X)) :- p(X).\n"
+    gc.disable()
+    try:
+        for tier in TIERS:
+            arena.configure(kernel=tier)
+            analyze(source, ("p", 1))
+            assert not gc.isenabled(), tier
+    finally:
+        gc.enable()
+    assert gc_during_analysis == [False] * len(TIERS)
+
+
+def test_python_walks_keep_collecting(gc_during_analysis):
+    """Tiers and domains whose analyses build cyclic graphs run with
+    the collector on: the python and numpy tiers, and on the native
+    tier the depth-k domain and a type database (Python callbacks)."""
+    from repro import analyze
+    from repro.domains.leaf import DepthBoundLeafDomain
+
+    source = "p(a).\np(f(X)) :- p(X).\n"
+    for tier in TIERS:
+        if tier == "native":
+            continue
+        arena.configure(kernel=tier)
+        for options in _PAUSE_CONFIGS.values():
+            analyze(source, ("p", 1), **options)
+    arena.configure(kernel=TIERS[-1])
+    analyze(source, ("p", 1), domain=DepthBoundLeafDomain(1))
+    analyze(source, ("p", 1),
+            config=AnalysisConfig(type_database=[g_list_of(g_any())]))
+    assert gc_during_analysis and all(gc_during_analysis)
+
+
+def test_native_analyses_leave_no_cyclic_garbage():
+    """What makes the pause safe: on the native tier no benchprog under
+    any configuration leaves an object that only the cyclic collector
+    could free."""
+    from repro import analyze
+    from repro.benchprogs import BENCHMARKS, benchmark
+
+    if "native" not in TIERS:
+        pytest.skip("native tier unavailable here")
+    arena.configure(kernel="native")
+    opcache.configure(enabled=True)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for name in sorted(BENCHMARKS):
+            bp = benchmark(name)
+            for options in _PAUSE_CONFIGS.values():
+                analyze(bp.source, bp.query, input_types=bp.input_types,
+                        **options)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert garbage == []
+
+
+def test_cyclic_builder_nodes_are_collected_after_the_pause(
+        gc_during_analysis):
+    """``X = f(X)`` ties the native builder's nodes into a cycle that
+    only the collector can free; it frees them once the pause ends."""
+    from repro import analyze
+
+    if "native" not in TIERS:
+        pytest.skip("native tier unavailable here")
+    arena.configure(kernel="native")
+
+    def knodes():
+        return sum(1 for o in gc.get_objects()
+                   if type(o).__name__ == "KNode")
+
+    gc.collect()
+    assert knodes() == 0
+    result = analyze("p(X) :- X = f(X).\nq(Y) :- p(Y).\n", ("q", 1))
+    assert result.output is PAT_BOTTOM
+    assert gc_during_analysis == [False] and gc.isenabled()
+    assert knodes() > 0
+    gc.collect()
+    assert knodes() == 0
 
 
 # -- tier selection / status --------------------------------------------------

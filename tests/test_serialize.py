@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import AnalysisConfig, analyze
+from repro.benchprogs import BENCHMARKS, benchmark
 from repro.domains.leaf import (TrivialLeafDomain, TypeLeafDomain,
                                 domain_from_descriptor)
 from repro.domains.pattern import PAT_BOTTOM, subst_eq, subst_top
@@ -15,9 +16,10 @@ from repro.service.serialize import (FORMAT_VERSION, canonical_json,
                                      decode_subst, encode_config,
                                      encode_grammar, encode_input_types,
                                      encode_result, encode_subst,
+                                     grammar_content_hash,
                                      predicate_hashes, program_hash)
-from repro.typegraph.grammar import (g_any, g_atom, g_bottom, g_int,
-                                     g_int_literal)
+from repro.typegraph.grammar import (FuncAlt, Grammar, g_any, g_atom,
+                                     g_bottom, g_int, g_int_literal)
 from repro.typegraph.ops import g_list_of, g_union
 
 
@@ -36,6 +38,16 @@ def json_rt(obj):
 ])
 def test_grammar_roundtrip(grammar):
     assert decode_grammar(json_rt(encode_grammar(grammar))) == grammar
+
+
+@pytest.mark.parametrize("grammar", [
+    g_any(), g_atom("caf\u00e9"), g_list_of(g_int()),
+    Grammar({0: frozenset([FuncAlt("f", (0,)), FuncAlt("a")])}, 0),
+])
+def test_grammar_content_hash_is_the_content_hash(grammar):
+    digest = content_hash(encode_grammar(grammar))
+    assert grammar_content_hash(grammar) == digest
+    assert grammar_content_hash(grammar) == digest   # memo warm
 
 
 def test_grammar_encoding_is_canonical():
@@ -200,6 +212,75 @@ def test_payload_fingerprint_matches_result_fingerprint(nreverse_source):
                          baseline=baseline).result
         payload = json_rt(encode_result(result))
         assert payload_fingerprint(payload) == result_fingerprint(result)
+
+
+def _dict_fingerprint(result):
+    """``result_fingerprint`` as a hash of per-entry dicts sorted by
+    their canonical JSON (how it was first written): the oracle for
+    the text-joining implementation."""
+    domain = result.domain
+
+    def tuple_of(entry):
+        return {"pred": list(entry.pred),
+                "beta_in": encode_subst(entry.beta_in, domain),
+                "beta_out": encode_subst(entry.beta_out, domain),
+                "seeded": entry.seeded}
+
+    return content_hash({
+        "domain": domain.descriptor(),
+        "root": tuple_of(result.root_entry),
+        "entries": sorted((tuple_of(e) for e in result.entries),
+                          key=canonical_json),
+        "unknown_predicates": [list(p) for p in result.unknown_predicates],
+    })
+
+
+def _assert_fingerprint_identity(result):
+    from repro.service.serialize import (payload_fingerprint,
+                                         result_fingerprint)
+    fingerprint = result_fingerprint(result)
+    assert fingerprint == payload_fingerprint(encode_result(result))
+    assert fingerprint == _dict_fingerprint(result)
+    assert result_fingerprint(result) == fingerprint   # memo warm
+
+
+_FINGERPRINT_CONFIGS = {
+    "full": {},
+    "or5": {"config": AnalysisConfig(max_or_width=5)},
+    "or2": {"config": AnalysisConfig(max_or_width=2)},
+    "baseline": {"baseline": True},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_result_fingerprint_matches_payload_and_dict_oracle(name):
+    bp = benchmark(name)
+    for options in _FINGERPRINT_CONFIGS.values():
+        _assert_fingerprint_identity(analyze(
+            bp.source, bp.query, input_types=bp.input_types,
+            **options).result)
+
+
+def test_result_fingerprint_identity_depth_k_and_seeded():
+    from repro.domains.leaf import DepthBoundLeafDomain
+    bp = benchmark("KA")
+    _assert_fingerprint_identity(analyze(
+        bp.source, bp.query, input_types=bp.input_types,
+        domain=DepthBoundLeafDomain(1)).result)
+    first = analyze(bp.source, bp.query, input_types=bp.input_types).result
+    seeds = [(e.pred, e.beta_in, e.beta_out) for e in first.entries]
+    seeded = analyze(bp.source, bp.query, input_types=bp.input_types,
+                     seeds=seeds).result
+    assert any(e.seeded for e in seeded.entries)
+    _assert_fingerprint_identity(seeded)
+
+
+def test_result_fingerprint_identity_escaped_names():
+    source = ("p('caf\u00e9', X) :- q(X).\n"
+              "q('a\"b\\\\c').\nq([1, '\u00fc'|_]).\n")
+    for options in _FINGERPRINT_CONFIGS.values():
+        _assert_fingerprint_identity(analyze(source, ("p", 2),
+                                             **options).result)
 
 
 def test_stats_roundtrip_disjunction_fallbacks():
